@@ -68,8 +68,9 @@ def synthesize_received(
     """Received signal y (M, L, N): superposition of the active devices'
     scaled pilots through their channels, plus CN(0, noise_var) AWGN."""
     coef = activity.astype(np.float64) * np.sqrt(config.tx_power)   # (K,)
-    weighted = coef[None, :, None] * channels.g                     # (M, K, N)
-    signal = np.einsum("lk,mkn->mln", pilots, weighted)
+    active = np.flatnonzero(coef)                # silent devices add exact zeros
+    weighted = coef[active, None] * channels.g[:, active]           # (M, A, N)
+    signal = pilots[:, active] @ weighted                           # (M, L, N)
     shape = signal.shape
     noise = (
         noise_stream.standard_normal(shape) + 1j * noise_stream.standard_normal(shape)
@@ -107,17 +108,20 @@ def build_dataset(
     if n_samples < 1:
         raise ValueError(f"n_samples: must be >= 1, got {n_samples}")
     m, k = config.num_aps, config.num_devices
-    feat = np.empty((n_samples, m, config.feature_dim))
+    # Each AP's features, viewed as (real/imag, antenna, pilot symbol): the
+    # layout of features_from_received, written for all APs at once.
+    feat = np.empty((n_samples, m, 2, config.antennas_per_ap, config.pilot_len))
     labels = np.empty((n_samples, k), dtype=np.int8)
     for i, child in enumerate(stream.spawn(n_samples)):
         activity = sample_activity(config, child)
         channels = draw_channels(beta, config, child)
         y = synthesize_received(activity, channels, pilots, config, child)
-        for ap in range(m):
-            feat[i, ap] = features_from_received(y[ap])
+        y_t = y.transpose(0, 2, 1)
+        feat[i, :, 0] = y_t.real
+        feat[i, :, 1] = y_t.imag
         labels[i] = activity
     return Dataset(
-        features=feat,
+        features=feat.reshape(n_samples, m, config.feature_dim),
         labels=labels,
         provenance={"n_samples": n_samples, "feature_dim": config.feature_dim},
     )

@@ -36,18 +36,17 @@ from .baselines import (
     fista,
     ista,
 )
-from .channel import apply_feature_scaler, build_dataset, fit_feature_scaler, received_from_features
+from .channel import apply_feature_scaler, build_dataset, received_from_features
 from .evaluation import MacCount, RocCurve, ScoredTrials, mac_count_amp, mac_count_slp, roc_curve
 from .federation import (
     FederationConfig,
     LocalUpdate,
-    fuse_cluster_scores,
     run_training,
+    score_events,
     serialize_update,
 )
 from .rng import substream
 from .scenario import ScenarioArtifacts, ScenarioConfig, build_scenario
-from .slp import forward
 
 ALL_DETECTORS = ("fl", "ista", "fista", "amp")
 ALL_EMIT = ("roc_csv", "summary_json", "history_csv", "checkpoints")
@@ -224,31 +223,11 @@ def _fl_detect(
 ) -> tuple[ScoredTrials, list[float], bytes]:
     """Train the federated detector, then score every evaluation event by
     clustered fusion of per-AP probabilities."""
-    params, history = run_training(
+    params, history, scaler = run_training(
         artifacts, config.federation, substream(seed, "federation")
     )
-    data = events
-    if artifacts.config.standardize_features:
-        # Mirror run_training's stream derivation to refit the same scaler
-        # the model was trained under, then apply it to the event features.
-        train_stream = substream(seed, "federation").spawn(4)[1]
-        train_data = build_dataset(
-            artifacts.config, artifacts.beta, artifacts.pilots,
-            config.federation.train_samples, train_stream,
-        )
-        scaler = fit_feature_scaler(train_data)
-        data = apply_feature_scaler(events, scaler)
-
-    m = artifacts.config.num_aps
-    k = artifacts.config.num_devices
-    n_events = data.n_samples
-    per_ap = np.empty((m, n_events, k))
-    for ap in range(m):
-        scores, _ = forward(params, data.features[:, ap, :])
-        per_ap[ap] = scores
-    fused = np.empty((n_events, k))
-    for i in range(n_events):
-        fused[i] = fuse_cluster_scores(per_ap[:, i, :], artifacts.beta, artifacts.config.cluster_size)
+    data = events if scaler is None else apply_feature_scaler(events, scaler)
+    fused = score_events(params, data, artifacts.beta, artifacts.config.cluster_size)
     trials = ScoredTrials(
         scores=fused.ravel(), truths=data.labels.astype(np.int8).ravel(), detector_tag="fl"
     )

@@ -14,6 +14,8 @@ to make the parameters-only exchange auditable:
     magic  b"ADUP" | u32 version | u32 round | u32 ap_index | f64 weight
     u32 hidden_units | u32 input_dim | u32 num_devices
     w1 (V*F f64) | b1 (V f64) | w2 (K*V f64) | b2 (K f64)
+
+The body is exactly `SlpParams.flat`, whose layout is this field order.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ def local_train(
 ) -> LocalUpdate:
     """Train a copy of the global model on one AP's shard.
 
-    epochs = 0 returns the global parameters untouched. The weight
+    epochs = 0 returns an unchanged copy of the global parameters. The weight
     defaults to the shard size (classic federated averaging).
     """
     if features.shape[0] == 0:
         raise ValueError(f"AP {ap_index}: cannot train on an empty shard")
     n = features.shape[0]
-    params = global_params
+    params = global_params.copy()
     state = init_adam(
         params, lr=fed.local_lr, beta1=fed.adam_beta1, beta2=fed.adam_beta2,
         epsilon=fed.adam_eps,
@@ -135,12 +137,14 @@ def aggregate(updates: list[LocalUpdate]) -> SlpParams:
         total += u.weight
     if total <= 0:
         raise ValueError("aggregation weights must not all be zero")
-    base = ordered[0].params
-    acc = base
+    base = ordered[0].params.flat
+    acc = base.copy()
+    delta = np.empty_like(base)
     for u in ordered[1:]:
-        coef = u.weight / total
-        acc = acc.map(lambda a, p, b: a + coef * (p - b), u.params, base)
-    return acc
+        np.subtract(u.params.flat, base, out=delta)
+        delta *= u.weight / total
+        acc += delta
+    return ordered[0].params.like(acc)
 
 
 def server_step(
@@ -161,25 +165,29 @@ def server_step(
         raise ValueError(f"unknown server mode {mode!r}")
     if server_state is None:
         raise ValueError("server-adam mode requires a server Adam state")
-    pseudo_grad = current_global.map(lambda c, a: c - a, aggregated)
-    return adam_step(current_global, pseudo_grad, server_state)
+    pseudo_grad = current_global.like(current_global.flat - aggregated.flat)
+    return adam_step(current_global.copy(), pseudo_grad, server_state)
+
+
+def score_events(
+    params: SlpParams, dataset: Dataset, beta: np.ndarray, cluster_size: int
+) -> np.ndarray:
+    """System output (n_events, K): the model runs at every AP, and each
+    device's score is the mean over its cluster, as in fuse_cluster_scores."""
+    top = _cluster_members(beta, cluster_size)            # (T, K)
+    n_events, m, _ = dataset.features.shape
+    k = beta.shape[1]
+    per_ap = np.empty((m, n_events, k))
+    for ap in range(m):
+        per_ap[ap] = forward(params, dataset.features[:, ap, :])[0]
+    return per_ap[top[:, None, :], np.arange(n_events)[:, None], np.arange(k)].mean(axis=0)
 
 
 def heldout_bce(
     params: SlpParams, dataset: Dataset, beta: np.ndarray, cluster_size: int
 ) -> float:
-    """BCE of the system output on held-out events: the global model runs
-    at every AP and the per-device cluster fusion produces the scores."""
-    n_events, m, _ = dataset.features.shape
-    k = dataset.labels.shape[1]
-    per_ap = np.empty((m, n_events, k))
-    for ap in range(m):
-        scores, _ = forward(params, dataset.features[:, ap, :])
-        per_ap[ap] = scores
-    fused = np.empty((n_events, k))
-    for i in range(n_events):
-        fused[i] = fuse_cluster_scores(per_ap[:, i, :], beta, cluster_size)
-    return bce_loss(fused, dataset.labels)
+    """BCE of the system output (see score_events) on held-out events."""
+    return bce_loss(score_events(params, dataset, beta, cluster_size), dataset.labels)
 
 
 def run_training(
@@ -188,11 +196,15 @@ def run_training(
     stream: np.random.Generator,
     train_data: Dataset | None = None,
     heldout_data: Dataset | None = None,
-) -> tuple[SlpParams, TrainingHistory]:
+) -> tuple[SlpParams, TrainingHistory, tuple[np.ndarray, np.ndarray] | None]:
     """Full federated run: R rounds of broadcast, local training at all M
     APs, weighted aggregation, and the server step. Per-AP shards are the
     APs' own views of a single shared event set, generated once (or fresh
     each round when regenerate_each_round is set).
+
+    Returns the global model, the history, and the feature scaler the
+    model was trained under (None when features were used as given);
+    inputs to the model must go through the same scaler.
     """
     cfg = artifacts.config
     init_stream, data_stream, heldout_stream, shuffle_root = stream.spawn(4)
@@ -250,7 +262,7 @@ def run_training(
             heldout_bce(params, heldout_data, artifacts.beta, cfg.cluster_size)
         )
         history.round_seconds.append(time.perf_counter() - t0)
-    return params, history
+    return params, history, scaler
 
 
 def fuse_cluster_scores(
@@ -259,16 +271,19 @@ def fuse_cluster_scores(
     """Fuse per-AP probabilities: for each device, average the scores of
     the cluster_size APs with the largest large-scale gain toward it (ties
     broken toward the lower AP index)."""
-    m, k = beta.shape
-    if cluster_size > m:
-        raise ValueError(f"cluster_size {cluster_size} exceeds number of APs {m}")
-    if per_ap_scores.shape != (m, k):
+    top = _cluster_members(beta, cluster_size)
+    if per_ap_scores.shape != beta.shape:
         raise ValueError(
             f"per_ap_scores shape {per_ap_scores.shape} does not match beta {beta.shape}"
         )
-    order = np.argsort(-beta, axis=0, kind="stable")       # (M, K), best AP first
-    top = order[:cluster_size, :]                          # (T, K)
-    return per_ap_scores[top, np.arange(k)[None, :]].mean(axis=0)
+    return per_ap_scores[top, np.arange(beta.shape[1])].mean(axis=0)
+
+
+def _cluster_members(beta: np.ndarray, cluster_size: int) -> np.ndarray:
+    """(T, K) indices of each device's T strongest APs, best first."""
+    if cluster_size > beta.shape[0]:
+        raise ValueError(f"cluster_size {cluster_size} exceeds number of APs {beta.shape[0]}")
+    return np.argsort(-beta, axis=0, kind="stable")[:cluster_size]
 
 
 def threshold_detect(scores: np.ndarray, theta: float) -> np.ndarray:
@@ -279,14 +294,11 @@ def threshold_detect(scores: np.ndarray, theta: float) -> np.ndarray:
 def serialize_update(update: LocalUpdate, round_index: int) -> bytes:
     """Pack one AP-to-CPU update in the version-1 wire format; the payload
     is parameter tensors and one scalar weight, nothing else."""
-    p = update.params
-    v, f = p.w1.shape
-    k = p.w2.shape[0]
+    v, f, k = update.params.dims
     header = _HEADER.pack(
         _MAGIC, _WIRE_VERSION, round_index, update.ap_index, update.weight, v, f, k
     )
-    body = b"".join(leaf.astype("<f8").tobytes(order="C") for leaf in p.leaves())
-    return header + body
+    return header + update.params.flat.astype("<f8", copy=False).tobytes()
 
 
 def deserialize_update(blob: bytes) -> tuple[int, LocalUpdate]:
@@ -295,15 +307,9 @@ def deserialize_update(blob: bytes) -> tuple[int, LocalUpdate]:
         raise ValueError("not an AP update blob")
     if version != _WIRE_VERSION:
         raise ValueError(f"unsupported update version {version}")
-    sizes = _field_sizes(v, f, k)
-    offset = _HEADER.size
-    leaves = []
-    for name, shape in (("w1", (v, f)), ("b1", (v,)), ("w2", (k, v)), ("b2", (k,))):
-        count = sizes[name]
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        leaves.append(arr.astype(np.float64))
-        offset += count * 8
-    params = SlpParams(*leaves)
+    count = sum(_field_sizes(v, f, k).values())
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER.size)
+    params = SlpParams.from_flat(flat.astype(np.float64), (v, f, k))
     return round_index, LocalUpdate(params=params, weight=weight, ap_index=ap_index)
 
 

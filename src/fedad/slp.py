@@ -3,8 +3,11 @@ binary cross-entropy, exact backprop, and Adam.
 
 The network maps one AP's real feature vector (length 2*L*N) through a
 ReLU hidden layer of V units to K sigmoid outputs, one activity
-probability per device. Everything is plain numpy and purely
-functional: forward/backward/adam_step never mutate their inputs.
+probability per device. Everything is plain numpy. Parameters live in
+one flat vector (see SlpParams), so an Adam step is a handful of
+in-place vector operations: `adam_step` updates the parameters and the
+optimizer state it is given, while `forward` and `backward` never mutate
+their inputs.
 """
 
 from __future__ import annotations
@@ -18,30 +21,53 @@ from .scenario import ScenarioConfig
 PROB_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
 class SlpParams:
-    """Two dense layers. Also reused as the container for gradients and
-    Adam moments, which share these shapes."""
+    """Two dense layers, held as reshaped views into one contiguous f64
+    vector `flat` in wire-format order (w1, b1, w2, b2, each row-major).
+    Also reused for gradients, which share this layout. Build one from its
+    four layers, or wrap an existing vector with `from_flat` or `like`."""
 
-    w1: np.ndarray  # (V, F)
-    b1: np.ndarray  # (V,)
-    w2: np.ndarray  # (K, V)
-    b2: np.ndarray  # (K,)
+    def __init__(self, w1, b1, w2, b2) -> None:
+        (v, f), k = np.shape(w1), np.size(b2)
+        flat = np.concatenate([np.ravel(a) for a in (w1, b1, w2, b2)], dtype=np.float64)
+        self._bind(flat, v, f, k)
 
-    def map(self, fn, *others: "SlpParams") -> "SlpParams":
-        """Apply fn leaf-wise across this and optional other parameter sets."""
-        return SlpParams(
-            *(fn(*leaves) for leaves in zip(self.leaves(), *(o.leaves() for o in others)))
-        )
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims: tuple[int, int, int]) -> "SlpParams":
+        """Views into `flat` (not copied) for hidden units, inputs, outputs `dims`."""
+        out = object.__new__(cls)
+        out._bind(flat, *dims)
+        return out
+
+    def _bind(self, flat: np.ndarray, v: int, f: int, k: int) -> None:
+        b1, w2, b2 = v * f, v * f + v, v * f + v + k * v
+        if flat.shape != (b2 + k,):
+            raise ValueError(f"vector shape {flat.shape} does not match V={v}, F={f}, K={k}")
+        self.flat = flat
+        self.dims = (v, f, k)
+        self.w1 = flat[:b1].reshape(v, f)
+        self.b1 = flat[b1:w2]
+        self.w2 = flat[w2:b2].reshape(k, v)
+        self.b2 = flat[b2:]
+
+    def like(self, flat: np.ndarray | None = None) -> "SlpParams":
+        """This layout over `flat` (not copied), or over fresh zeros."""
+        return SlpParams.from_flat(np.zeros_like(self.flat) if flat is None else flat, self.dims)
+
+    def copy(self) -> "SlpParams":
+        return self.like(self.flat.copy())
 
     def leaves(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    first_moment: SlpParams
-    second_moment: SlpParams
+    """Adam moments as flat vectors in the SlpParams layout; `adam_step`
+    updates them and `step_count` in place."""
+
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int
     lr: float
     beta1: float
@@ -69,10 +95,9 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    zeros = params.map(np.zeros_like)
     return AdamState(
-        first_moment=zeros,
-        second_moment=params.map(np.zeros_like),
+        first_moment=np.zeros_like(params.flat),
+        second_moment=np.zeros_like(params.flat),
         step_count=0,
         lr=lr,
         beta1=beta1,
@@ -82,12 +107,9 @@ def init_adam(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: exp(-|z|) is exp(z) for negative z."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def forward(
@@ -104,9 +126,11 @@ def forward(
             f"feature length {x.shape[1]} does not match "
             f"model input dim {params.w1.shape[1]}"
         )
-    z1 = x @ params.w1.T + params.b1
+    z1 = x @ params.w1.T
+    z1 += params.b1
     hidden = np.maximum(z1, 0.0)
-    z2 = hidden @ params.w2.T + params.b2
+    z2 = hidden @ params.w2.T
+    z2 += params.b2
     scores = _sigmoid(z2)
     if features.ndim == 1:
         scores = scores[0]
@@ -123,63 +147,45 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def backward(params: SlpParams, features: np.ndarray, labels: np.ndarray) -> SlpParams:
     """Exact gradients of the mean BCE, using the fused sigmoid-BCE delta
-    (scores - labels) / (batch * K)."""
+    (scores - labels) / (batch * K), written into one fresh flat buffer."""
     scores, cache = forward(params, features)
     s = np.atleast_2d(scores)
     a = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    batch = s.shape[0]
-    k = s.shape[1]
+    batch, k = s.shape
     d2 = (s - a) / (batch * k)                      # (B, K)
-    dw2 = d2.T @ cache["hidden"]
-    db2 = d2.sum(axis=0)
-    dhidden = d2 @ params.w2                        # (B, V)
-    d1 = dhidden * (cache["z1"] > 0.0)
-    dw1 = d1.T @ cache["x"]
-    db1 = d1.sum(axis=0)
-    return SlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    grads = params.like(np.empty_like(params.flat))
+    np.matmul(d2.T, cache["hidden"], out=grads.w2)
+    np.sum(d2, axis=0, out=grads.b2)
+    d1 = d2 @ params.w2                             # (B, V)
+    d1 *= cache["z1"] > 0.0
+    np.matmul(d1.T, cache["x"], out=grads.w1)
+    np.sum(d1, axis=0, out=grads.b1)
+    return grads
 
 
 def adam_step(
     params: SlpParams, grads: SlpParams, state: AdamState
 ) -> tuple[SlpParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
-    t = state.step_count + 1
-    m = state.first_moment.map(
-        lambda m_, g_: state.beta1 * m_ + (1.0 - state.beta1) * g_, grads
-    )
-    v = state.second_moment.map(
-        lambda v_, g_: state.beta2 * v_ + (1.0 - state.beta2) * g_ * g_, grads
-    )
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    new_params = params.map(
-        lambda p_, m_, v_: p_ - state.lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + state.epsilon),
-        m,
-        v,
-    )
-    new_state = AdamState(
-        first_moment=m,
-        second_moment=v,
-        step_count=t,
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new_params, new_state
-
-
-def params_to_vector(params: SlpParams) -> np.ndarray:
-    """Flatten in the fixed order w1, b1, w2, b2 (row-major)."""
-    return np.concatenate([leaf.ravel() for leaf in params.leaves()])
-
-
-def vector_to_params(vec: np.ndarray, template: SlpParams) -> SlpParams:
-    out = []
-    offset = 0
-    for leaf in template.leaves():
-        out.append(vec[offset : offset + leaf.size].reshape(leaf.shape))
-        offset += leaf.size
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match template ({offset})")
-    return SlpParams(*out)
+    """One bias-corrected Adam update, in place on `params` and `state`,
+    which are returned. The operations run in the order of the textbook
+    form p - lr * (m / bc1) / (sqrt(v / bc2) + eps), so the trajectory is
+    bit-identical to an out-of-place evaluation of it."""
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    g, m, v = grads.flat, state.first_moment, state.second_moment
+    tmp = (1.0 - b1) * g
+    m *= b1
+    m += tmp                                        # b1*m + (1-b1)*g
+    np.multiply(1.0 - b2, g, out=tmp)
+    tmp *= g
+    v *= b2
+    v += tmp                                        # b2*v + ((1-b2)*g)*g
+    np.divide(m, 1.0 - b1**t, out=tmp)
+    tmp *= state.lr
+    den = v / (1.0 - b2**t)
+    np.sqrt(den, out=den)
+    den += state.epsilon
+    tmp /= den
+    params.flat -= tmp
+    return params, state

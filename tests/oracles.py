@@ -6,21 +6,56 @@ import itertools
 
 import numpy as np
 
-from fedad.slp import bce_loss, forward, params_to_vector, vector_to_params
+from fedad.channel import draw_channels
+from fedad.scenario import sample_activity
+from fedad.slp import bce_loss, forward
 
 
 def finite_difference_grads(params, x, labels, step=1e-5):
-    """Central differences of the mean BCE w.r.t. every parameter."""
-    vec = params_to_vector(params)
+    """Central differences of the mean BCE w.r.t. every parameter, in the
+    order of `params.flat`."""
+    vec = params.flat.copy()
     grad = np.zeros_like(vec)
     for i in range(vec.size):
         bumped = vec.copy()
         bumped[i] += step
-        plus = bce_loss(forward(vector_to_params(bumped, params), x)[0], labels)
+        plus = bce_loss(forward(params.like(bumped), x)[0], labels)
         bumped[i] -= 2 * step
-        minus = bce_loss(forward(vector_to_params(bumped, params), x)[0], labels)
+        minus = bce_loss(forward(params.like(bumped), x)[0], labels)
         grad[i] = (plus - minus) / (2 * step)
     return grad
+
+
+def leafwise_adam_step(leaves, grads, first, second, step, lr, beta1, beta2, eps):
+    """One bias-corrected Adam step written out of place, layer by layer
+    (lists of arrays in, new lists out); `step` counts from 1."""
+    first = [beta1 * m + (1.0 - beta1) * g for m, g in zip(first, grads)]
+    second = [beta2 * v + (1.0 - beta2) * g * g for v, g in zip(second, grads)]
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    leaves = [
+        p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        for p, m, v in zip(leaves, first, second)
+    ]
+    return leaves, first, second
+
+
+def received_signals_reference(config, beta, pilots, n_samples, stream):
+    """Per-event received signals y (M, L, N) and activity labels, drawn in
+    the dataset's order (one child stream per event: activity, channels,
+    noise) and superposed with an explicit einsum."""
+    signals, labels = [], []
+    for child in stream.spawn(n_samples):
+        activity = sample_activity(config, child)
+        g = draw_channels(beta, config, child).g
+        coef = activity.astype(np.float64) * np.sqrt(config.tx_power)
+        signal = np.einsum("lk,mkn->mln", pilots, coef[None, :, None] * g)
+        noise = (
+            child.standard_normal(signal.shape) + 1j * child.standard_normal(signal.shape)
+        ) * np.sqrt(config.noise_var / 2.0)
+        signals.append(signal + noise)
+        labels.append(activity)
+    return signals, np.array(labels)
 
 
 def exhaustive_ls_support(dictionary, observations, size):

@@ -38,7 +38,7 @@ from fedad.federation import (
 )
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario
-from fedad.slp import SlpParams, backward, init_params, params_to_vector
+from fedad.slp import SlpParams, backward, init_params
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -77,7 +77,7 @@ def test_criterion_1_gradient_correctness():
             if np.min(np.abs(params.w1 @ x + params.b1)) > 1e-3:
                 break
         labels = (rng.random(k) < 0.4).astype(np.int8)
-        analytic = params_to_vector(backward(params, x, labels))
+        analytic = backward(params, x, labels).flat
         numeric = finite_difference_grads(params, x, labels, step=1e-5)
         rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6))
         worst = max(worst, rel)
@@ -220,7 +220,7 @@ def test_criterion_5_federation_algebra_and_privacy_shape():
     fed = FederationConfig(
         rounds=2, local_epochs=0, batch_size=4, train_samples=4, eval_samples=4
     )
-    params, _ = run_training(artifacts, fed, substream(0, "fed"))
+    params, _, _ = run_training(artifacts, fed, substream(0, "fed"))
     assert params_equal(params, init_params(cfg, substream(0, "fed").spawn(4)[0]))
 
     # Privacy shape at full network dimensions: the AP-to-CPU payload

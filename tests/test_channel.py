@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import received_signals_reference
 
 from fedad.channel import (
     Channels,
@@ -178,6 +179,30 @@ class TestBuildDataset:
         )
         assert np.array_equal(ds1.features, ds2.features)
         assert np.array_equal(ds1.labels, ds2.labels)
+
+    def test_matches_einsum_reference(self):
+        # Desk shapes, 4 of 40 devices active on average. The synthesis
+        # may reorder the pilot sums (tolerance 1e-12 relative per event),
+        # but must keep the draws (labels bit-exact) and the feature layout.
+        cfg = ScenarioConfig(
+            area_side_km=0.5, num_aps=8, antennas_per_ap=2, num_devices=40, pilot_len=20,
+            cluster_size=4, tx_power=1e12, master_seed=42,
+        )
+        art = build_scenario(cfg)
+        ds = build_dataset(cfg, art.beta, art.pilots, 24, substream(6, "data"))
+        signals, labels = received_signals_reference(
+            cfg, art.beta, art.pilots, 24, substream(6, "data")
+        )
+        assert np.array_equal(ds.labels, labels)
+        for i, y in enumerate(signals):
+            scale = np.max(np.abs(y))
+            ref = np.stack([features_from_received(y[ap]) for ap in range(cfg.num_aps)])
+            assert np.max(np.abs(ds.features[i] - ref)) <= 1e-12 * scale
+            for ap in range(cfg.num_aps):
+                back = received_from_features(
+                    ds.features[i, ap], cfg.pilot_len, cfg.antennas_per_ap
+                )
+                assert np.max(np.abs(back - y[ap])) <= 1e-12 * scale
 
     def test_rejects_empty(self, small_config, small_artifacts):
         with pytest.raises(ValueError):

@@ -149,6 +149,30 @@ class TestRunExperiment:
         assert update.params.w2.shape == (4, 8)
 
 
+    def test_standardized_fl_scores_use_the_training_scaler(self, tmp_path):
+        from fedad.channel import apply_feature_scaler, build_dataset
+        from fedad.federation import run_training, score_events
+        from fedad.rng import substream
+        from fedad.scenario import build_scenario
+
+        cfg = smoke_config(
+            tmp_path, eval_trials=6,
+            scenario={**SMOKE["scenario"], "standardize_features": True},
+        )
+        scores = run_experiment(cfg).results["fl"].trials.scores
+        artifacts = build_scenario(cfg.scenario)
+        params, _, scaler = run_training(artifacts, cfg.federation, substream(5, "federation"))
+        assert scaler is not None
+        events = build_dataset(
+            artifacts.config, artifacts.beta, artifacts.pilots, cfg.eval_trials,
+            substream(5, "eval-events"),
+        )
+        beta, cluster = artifacts.beta, cfg.scenario.cluster_size
+        expected = score_events(params, apply_feature_scaler(events, scaler), beta, cluster)
+        assert np.array_equal(scores, expected.ravel())
+        assert not np.array_equal(scores, score_events(params, events, beta, cluster).ravel())
+
+
 class TestMainEntry:
     def _write(self, tmp_path, data):
         path = tmp_path / "config.json"

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedad.channel import build_dataset
+from fedad.channel import build_dataset, fit_feature_scaler
 from fedad.federation import (
     FederationConfig,
     LocalUpdate,
@@ -13,6 +15,7 @@ from fedad.federation import (
     local_train,
     fuse_cluster_scores,
     run_training,
+    score_events,
     serialize_update,
     server_step,
     threshold_detect,
@@ -20,7 +23,7 @@ from fedad.federation import (
 )
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario
-from fedad.slp import SlpParams, adam_step, backward, init_adam, init_params
+from fedad.slp import SlpParams, adam_step, backward, forward, init_adam, init_params
 
 
 def scalar_params(value: float) -> SlpParams:
@@ -247,7 +250,7 @@ class TestRunTraining:
         fed = FederationConfig(
             rounds=1, local_epochs=0, batch_size=4, train_samples=4, eval_samples=4
         )
-        params, history = run_training(small_artifacts, fed, substream(0, "fed"))
+        params, history, _ = run_training(small_artifacts, fed, substream(0, "fed"))
         reference = init_params(small_config, substream(0, "fed").spawn(4)[0])
         assert params_equal(params, reference)
         assert len(history.heldout_bce) == 1
@@ -256,8 +259,8 @@ class TestRunTraining:
         fed = FederationConfig(
             rounds=2, local_epochs=1, batch_size=4, train_samples=8, eval_samples=6
         )
-        p1, h1 = run_training(small_artifacts, fed, substream(5, "fed"))
-        p2, h2 = run_training(small_artifacts, fed, substream(5, "fed"))
+        p1, h1, _ = run_training(small_artifacts, fed, substream(5, "fed"))
+        p2, h2, _ = run_training(small_artifacts, fed, substream(5, "fed"))
         assert params_equal(p1, p2)
         assert h1.heldout_bce == h2.heldout_bce
 
@@ -265,7 +268,7 @@ class TestRunTraining:
         fed = FederationConfig(
             rounds=3, local_epochs=1, batch_size=4, train_samples=6, eval_samples=4
         )
-        _, history = run_training(small_artifacts, fed, substream(6, "fed"))
+        _, history, _ = run_training(small_artifacts, fed, substream(6, "fed"))
         assert len(history.heldout_bce) == 3
         assert len(history.round_seconds) == 3
 
@@ -280,15 +283,31 @@ class TestRunTraining:
             rounds=8, local_epochs=2, batch_size=16, train_samples=64,
             eval_samples=64, server_mode=mode,
         )
-        _, history = run_training(artifacts, fed, substream(1, "fed"))
+        _, history, _ = run_training(artifacts, fed, substream(1, "fed"))
         assert history.heldout_bce[-1] < history.heldout_bce[0]
+
+    def test_returns_the_training_scaler(self, small_config):
+        fed = FederationConfig(
+            rounds=1, local_epochs=1, batch_size=4, train_samples=8, eval_samples=4
+        )
+        _, _, none = run_training(build_scenario(small_config), fed, substream(3, "fed"))
+        assert none is None
+        cfg = ScenarioConfig(**{**small_config.__dict__, "standardize_features": True})
+        artifacts = build_scenario(cfg)
+        _, _, scaler = run_training(artifacts, fed, substream(3, "fed"))
+        train = build_dataset(
+            cfg, artifacts.beta, artifacts.pilots, fed.train_samples,
+            substream(3, "fed").spawn(4)[1],
+        )
+        for got, want in zip(scaler, fit_feature_scaler(train)):
+            assert np.array_equal(got, want)
 
     def test_beta_sum_weight_mode(self, small_artifacts):
         fed = FederationConfig(
             rounds=1, local_epochs=1, batch_size=4, train_samples=6, eval_samples=4,
             weight_mode="beta_sum",
         )
-        params, _ = run_training(small_artifacts, fed, substream(7, "fed"))
+        params, _, _ = run_training(small_artifacts, fed, substream(7, "fed"))
         assert all(np.all(np.isfinite(leaf)) for leaf in params.leaves())
 
 
@@ -313,6 +332,15 @@ class TestUpdateWire:
         assert schema["array_fields"] == {"w1": v * f, "b1": v, "w2": k * v, "b2": k}
         assert schema["version"] == 1
 
+    def test_body_is_the_layers_in_wire_order(self, small_config):
+        update = self._update(small_config)
+        v, f, k = update.params.dims
+        header = struct.pack("<4sIIIdIII", b"ADUP", 1, 5, 3, 12.0, v, f, k)
+        expected = header + b"".join(
+            leaf.astype("<f8").tobytes(order="C") for leaf in update.params.leaves()
+        )
+        assert serialize_update(update, 5) == expected
+
     def test_bad_magic_rejected(self, small_config):
         blob = serialize_update(self._update(small_config), 0)
         with pytest.raises(ValueError):
@@ -325,6 +353,85 @@ class TestHeldoutBce:
             small_config, small_artifacts.beta, small_artifacts.pilots, 4,
             substream(2, "data"),
         )
-        zeros = init_params(small_config, substream(0, "init")).map(np.zeros_like)
+        zeros = init_params(small_config, substream(0, "init")).like()
         got = heldout_bce(zeros, ds, small_artifacts.beta, small_config.cluster_size)
         assert got == pytest.approx(np.log(2.0), rel=1e-12)
+
+
+class TestScoreEvents:
+    @pytest.mark.parametrize("cluster_size", [1, 2, 3, 4])
+    def test_matches_per_event_fusion(self, small_config, small_artifacts, cluster_size):
+        ds = build_dataset(
+            small_config, small_artifacts.beta, small_artifacts.pilots, 9,
+            substream(4, "data"),
+        )
+        params = init_params(small_config, substream(5, "init"))
+        fused = score_events(params, ds, small_artifacts.beta, cluster_size)
+        per_ap = np.stack(
+            [forward(params, ds.features[:, ap])[0] for ap in range(small_config.num_aps)]
+        )
+        assert fused.shape == ds.labels.shape
+        for i in range(ds.n_samples):
+            expected = fuse_cluster_scores(per_ap[:, i], small_artifacts.beta, cluster_size)
+            assert np.array_equal(fused[i], expected)
+
+    def test_cluster_too_large_rejected(self, small_config, small_artifacts):
+        ds = build_dataset(
+            small_config, small_artifacts.beta, small_artifacts.pilots, 2,
+            substream(4, "data"),
+        )
+        params = init_params(small_config, substream(5, "init"))
+        with pytest.raises(ValueError, match="cluster_size"):
+            score_events(params, ds, small_artifacts.beta, small_config.num_aps + 1)
+
+
+class TestInputsUntouched:
+    """The parameters passed in are the caller's: training, aggregation,
+    the server step and serialization must leave their bytes as they were."""
+
+    def _random_params(self, config, label):
+        return init_params(config, substream(20, label))
+
+    def test_local_train(self, small_config, small_artifacts, fed_small):
+        ds = build_dataset(
+            small_config, small_artifacts.beta, small_artifacts.pilots, 8,
+            substream(21, "data"),
+        )
+        params = self._random_params(small_config, "global")
+        before = params.flat.tobytes()
+        feats, labels = ds.shard(0)
+        update = local_train(params, feats, labels, 2, fed_small, 0, substream(22, "sh"))
+        assert params.flat.tobytes() == before
+        assert update.params.flat.tobytes() != before
+
+    @pytest.mark.parametrize("mode", ["plain-average", "server-adam"])
+    def test_server_step(self, small_config, mode):
+        current = self._random_params(small_config, "current")
+        agg = self._random_params(small_config, "aggregate")
+        before = (current.flat.tobytes(), agg.flat.tobytes())
+        state = init_adam(current, lr=1e-2) if mode == "server-adam" else None
+        out, _ = server_step(current, agg, state, mode)
+        assert (current.flat.tobytes(), agg.flat.tobytes()) == before
+        if mode == "server-adam":
+            assert not np.shares_memory(out.flat, current.flat)
+            assert out.flat.tobytes() != before[0]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_aggregate(self, small_config, count):
+        updates = [
+            LocalUpdate(params=self._random_params(small_config, f"ap{i}"), weight=i + 1.0,
+                        ap_index=i)
+            for i in range(count)
+        ]
+        before = [u.params.flat.tobytes() for u in updates]
+        out = aggregate(updates)
+        assert [u.params.flat.tobytes() for u in updates] == before
+        assert not any(np.shares_memory(out.flat, u.params.flat) for u in updates)
+
+    def test_serialize_update(self, small_config):
+        update = LocalUpdate(
+            params=self._random_params(small_config, "wire"), weight=2.0, ap_index=1
+        )
+        before = update.params.flat.tobytes()
+        serialize_update(update, 3)
+        assert update.params.flat.tobytes() == before

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import finite_difference_grads, leafwise_adam_step
 
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig
@@ -14,8 +15,6 @@ from fedad.slp import (
     forward,
     init_adam,
     init_params,
-    params_to_vector,
-    vector_to_params,
 )
 
 
@@ -43,20 +42,6 @@ def loop_forward(params, x):
             acc += params.w2[i, j] * hidden[j]
         out[i] = 1.0 / (1.0 + math.exp(-acc))
     return out
-
-
-def finite_difference_grads(params, x, labels, step=1e-5):
-    """Central differences of the mean BCE w.r.t. every coordinate."""
-    vec = params_to_vector(params)
-    grad = np.zeros_like(vec)
-    for i in range(vec.size):
-        bumped = vec.copy()
-        bumped[i] += step
-        plus = bce_loss(forward(vector_to_params(bumped, params), x)[0], labels)
-        bumped[i] -= 2 * step
-        minus = bce_loss(forward(vector_to_params(bumped, params), x)[0], labels)
-        grad[i] = (plus - minus) / (2 * step)
-    return grad
 
 
 def random_well_conditioned_instance(rng, v, k, f):
@@ -101,13 +86,13 @@ class TestInit:
 class TestForward:
     def test_zero_params_give_half(self):
         cfg = tiny_config()
-        zeros = init_params(cfg, substream(0, "init")).map(np.zeros_like)
+        zeros = init_params(cfg, substream(0, "init")).like()
         scores, _ = forward(zeros, np.ones(cfg.feature_dim))
         assert np.all(scores == 0.5)
 
     def test_saturated_bias(self):
         cfg = tiny_config()
-        p = init_params(cfg, substream(0, "init")).map(np.zeros_like)
+        p = init_params(cfg, substream(0, "init")).like()
         b2 = p.b2.copy()
         b2[1] = 20.0
         p = SlpParams(w1=p.w1, b1=p.b1, w2=p.w2, b2=b2)
@@ -156,7 +141,7 @@ class TestBceLoss:
 class TestBackward:
     def test_zero_params_all_zero_labels(self):
         cfg = tiny_config(v=4, k=5)
-        zeros = init_params(cfg, substream(0, "init")).map(np.zeros_like)
+        zeros = init_params(cfg, substream(0, "init")).like()
         grads = backward(zeros, np.ones(cfg.feature_dim), np.zeros(5, dtype=np.int8))
         # Fused delta (0.5 - 0) / K lands directly on the output bias.
         assert np.allclose(grads.b2, 0.5 / 5, rtol=1e-15)
@@ -169,7 +154,7 @@ class TestBackward:
             k = int(rng.integers(1, 5))
             f = int(rng.integers(2, 7))
             params, x, labels = random_well_conditioned_instance(rng, v, k, f)
-            analytic = params_to_vector(backward(params, x, labels))
+            analytic = backward(params, x, labels).flat
             numeric = finite_difference_grads(params, x, labels)
             scale = np.maximum(np.abs(numeric), 1e-6)
             worst = max(worst, np.max(np.abs(analytic - numeric) / scale))
@@ -188,11 +173,10 @@ class TestAdam:
     def test_zero_grad_is_noop(self):
         cfg = tiny_config()
         p = init_params(cfg, substream(1, "init"))
+        before = p.flat.copy()
         state = init_adam(p)
-        zero = p.map(np.zeros_like)
-        p2, state2 = adam_step(p, zero, state)
-        for a, b in zip(p.leaves(), p2.leaves()):
-            assert np.array_equal(a, b)
+        p2, state2 = adam_step(p, p.like(), state)
+        assert np.array_equal(p2.flat, before)
         assert state2.step_count == 1
 
     def test_first_step_magnitude(self):
@@ -227,6 +211,34 @@ class TestAdam:
             assert np.array_equal(la, lb)
 
 
+    def test_in_place_step_matches_leafwise_oracle(self):
+        # Desk shapes (V=512, F=80, K=40): the flat in-place update must
+        # follow the out-of-place, layer-by-layer trajectory bit for bit.
+        cfg = ScenarioConfig(
+            num_aps=1, antennas_per_ap=2, num_devices=40, pilot_len=20,
+            hidden_units=512, cluster_size=1,
+        )
+        rng = np.random.default_rng(8)
+        p = init_params(cfg, substream(8, "init"))
+        state = init_adam(p, lr=0.02, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        leaves = [leaf.copy() for leaf in p.leaves()]
+        first = [np.zeros_like(leaf) for leaf in leaves]
+        second = [np.zeros_like(leaf) for leaf in leaves]
+        for step in range(1, 41):
+            # Gradients of very different scales per step, as in training.
+            grads = p.like(rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 1))
+            p, state = adam_step(p, grads, state)
+            leaves, first, second = leafwise_adam_step(
+                leaves, grads.leaves(), first, second, step, 0.02, 0.9, 0.999, 1e-8
+            )
+            assert np.array_equal(p.flat, np.concatenate([x.ravel() for x in leaves]))
+            assert np.array_equal(state.first_moment, np.concatenate([x.ravel() for x in first]))
+            assert np.array_equal(
+                state.second_moment, np.concatenate([x.ravel() for x in second])
+            )
+        assert state.step_count == 40
+
+
 class TestTrainingSanity:
     def test_bce_halves_on_fixed_batch(self):
         # 200 Adam steps on one fixed 32-sample batch must cut the loss
@@ -252,13 +264,19 @@ class TestVectorRoundTrip:
     def test_round_trip(self):
         cfg = tiny_config()
         p = init_params(cfg, substream(2, "init"))
-        vec = params_to_vector(p)
-        back = vector_to_params(vec, p)
+        vec = p.flat.copy()
+        assert np.array_equal(vec, np.concatenate([leaf.ravel() for leaf in p.leaves()]))
+        back = SlpParams.from_flat(vec, p.dims)
         for a, b in zip(p.leaves(), back.leaves()):
             assert np.array_equal(a, b)
+        # The layers are views: writing one writes the flat vector.
+        back.b2[0] = 7.0
+        assert vec[-cfg.num_devices] == 7.0
 
     def test_length_mismatch(self):
         cfg = tiny_config()
         p = init_params(cfg, substream(2, "init"))
         with pytest.raises(ValueError):
-            vector_to_params(np.zeros(3), p)
+            SlpParams.from_flat(np.zeros(3), p.dims)
+        with pytest.raises(ValueError):
+            p.like(np.zeros(3))
