@@ -145,7 +145,11 @@ def row_soft_threshold(rows: np.ndarray, tau: float) -> np.ndarray:
 
 def lasso_objective(problem: MmvProblem, x: np.ndarray, lam: float) -> float:
     """0.5 * ||Y - S X||_F^2 + lam * sum_k ||row k of X||_2."""
-    residual = problem.observations - problem.dictionary @ x
+    return _objective(problem.observations - problem.dictionary @ x, x, lam)
+
+
+def _objective(residual: np.ndarray, x: np.ndarray, lam: float) -> float:
+    """The LASSO objective of x, given its residual Y - S X."""
     data_term = 0.5 * float(np.linalg.norm(residual) ** 2)
     return data_term + lam * float(np.sum(np.linalg.norm(np.atleast_2d(x), axis=1)))
 
@@ -155,10 +159,9 @@ def _row_energies(x_hat: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x_hat) ** 2, axis=1) / c
 
 
-def _resolve_step(problem: MmvProblem, solver: SolverConfig) -> float:
-    if solver.step_size is not None:
-        return solver.step_size
-    return 1.0 / float(np.linalg.norm(problem.dictionary, 2) ** 2)
+def default_step_size(dictionary: np.ndarray) -> float:
+    """1 / ||S||_2^2, the reciprocal Lipschitz constant of the LASSO gradient."""
+    return 1.0 / float(np.linalg.norm(dictionary, 2) ** 2)
 
 
 def _require_lam(solver: SolverConfig) -> float:
@@ -184,26 +187,41 @@ def _check_divergence(trace: list[float], increases: int, f0: float) -> int:
     return increases
 
 
-def ista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
-    """Proximal-gradient iteration for the row-sparse LASSO.
+def _proximal_gradient(
+    problem: MmvProblem, solver: SolverConfig, accelerate: bool
+) -> SparseEstimate:
+    """Proximal-gradient iteration for the row-sparse LASSO, from X = 0:
 
-    X <- rowprox(X + mu * S^H (Y - S X), mu * lam), with mu = step_size.
-    Stops at max_iters or when the relative objective change drops below
-    tol. The objective trace (including the X = 0 start) is nonincreasing
-    for any step below the 1/||S||_2^2 default.
+        X <- rowprox(Z + mu * S^H (Y - S Z), mu * lam),  mu = step_size.
+
+    Without acceleration Z is the last iterate, whose residual the
+    objective already computed. With it, Z follows the Nesterov momentum
+    sequence t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 (FISTA). Stops at
+    max_iters or when the relative objective change drops below tol.
     """
     s = problem.dictionary
+    s_h = s.conj().T
     y = problem.observations
     lam = _require_lam(solver)
-    mu = _resolve_step(problem, solver)
-    x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
-    trace = [lasso_objective(problem, x, lam)]
+    mu = default_step_size(s) if solver.step_size is None else solver.step_size
+    x = z = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
+    residual = y - s @ x
+    trace = [_objective(residual, x, lam)]
+    t = 1.0
     increases = 0
     iterations = 0
     for _ in range(solver.max_iters):
-        grad_step = x + mu * (s.conj().T @ (y - s @ x))
-        x = row_soft_threshold(grad_step, mu * lam)
-        trace.append(lasso_objective(problem, x, lam))
+        z_residual = y - s @ z if accelerate else residual
+        x_new = row_soft_threshold(z + mu * (s_h @ z_residual), mu * lam)
+        if accelerate:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            t = t_new
+        else:
+            z = x_new
+        x = x_new
+        residual = y - s @ x
+        trace.append(_objective(residual, x, lam))
         iterations += 1
         increases = _check_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
@@ -215,44 +233,19 @@ def ista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
         iterations_used=iterations,
         objective_trace=np.asarray(trace),
     )
+
+
+def ista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
+    """ISTA; its objective trace (including the X = 0 start) is
+    nonincreasing for any step below the 1/||S||_2^2 default."""
+    return _proximal_gradient(problem, solver, accelerate=False)
 
 
 def fista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
-    """Accelerated proximal gradient with the Nesterov momentum sequence
-    t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2.
-
-    The objective trace need not be monotone, but on these convex
+    """FISTA; its objective trace need not be monotone, but on these convex
     instances the final objective matches ISTA's at equal iteration
-    budgets to high accuracy.
-    """
-    s = problem.dictionary
-    y = problem.observations
-    lam = _require_lam(solver)
-    mu = _resolve_step(problem, solver)
-    x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
-    z = x.copy()
-    t = 1.0
-    trace = [lasso_objective(problem, x, lam)]
-    increases = 0
-    iterations = 0
-    for _ in range(solver.max_iters):
-        grad_step = z + mu * (s.conj().T @ (y - s @ z))
-        x_new = row_soft_threshold(grad_step, mu * lam)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-        trace.append(lasso_objective(problem, x, lam))
-        iterations += 1
-        increases = _check_divergence(trace, increases, trace[0])
-        rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
-        if rel < solver.tol:
-            break
-    return SparseEstimate(
-        x_hat=x,
-        activity_stat=_row_energies(x),
-        iterations_used=iterations,
-        objective_trace=np.asarray(trace),
-    )
+    budgets to high accuracy."""
+    return _proximal_gradient(problem, solver, accelerate=True)
 
 
 def momentum_sequence(n: int) -> np.ndarray:

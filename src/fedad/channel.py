@@ -19,15 +19,6 @@ _SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class Channels:
-    """Small-scale coefficients h and composite gains g = sqrt(beta) * h,
-    both shaped (M, K, N)."""
-
-    h: np.ndarray
-    g: np.ndarray
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A batch of Monte-Carlo uplink events seen by every AP.
 
@@ -50,26 +41,27 @@ class Dataset:
 
 def draw_channels(
     beta: np.ndarray, config: ScenarioConfig, stream: np.random.Generator
-) -> Channels:
-    """i.i.d. CN(0,1) small-scale fading, composed with sqrt(beta)."""
+) -> np.ndarray:
+    """Composite gains g = sqrt(beta) * h, shaped (M, K, N), with i.i.d.
+    CN(0,1) small-scale fading h."""
     shape = (config.num_aps, config.num_devices, config.antennas_per_ap)
     h = (stream.standard_normal(shape) + 1j * stream.standard_normal(shape)) / _SQRT2
-    g = np.sqrt(beta)[:, :, None] * h
-    return Channels(h=h, g=g)
+    return np.sqrt(beta)[:, :, None] * h
 
 
 def synthesize_received(
     activity: np.ndarray,
-    channels: Channels,
+    gains: np.ndarray,
     pilots: np.ndarray,
     config: ScenarioConfig,
     noise_stream: np.random.Generator,
 ) -> np.ndarray:
     """Received signal y (M, L, N): superposition of the active devices'
-    scaled pilots through their channels, plus CN(0, noise_var) AWGN."""
+    scaled pilots through their composite gains (M, K, N), plus
+    CN(0, noise_var) AWGN."""
     coef = activity.astype(np.float64) * np.sqrt(config.tx_power)   # (K,)
     active = np.flatnonzero(coef)                # silent devices add exact zeros
-    weighted = coef[active, None] * channels.g[:, active]           # (M, A, N)
+    weighted = coef[active, None] * gains[:, active]                # (M, A, N)
     signal = pilots[:, active] @ weighted                           # (M, L, N)
     shape = signal.shape
     noise = (
@@ -85,10 +77,11 @@ def features_from_received(y_m: np.ndarray) -> np.ndarray:
 
 
 def received_from_features(features: np.ndarray, pilot_len: int, antennas: int) -> np.ndarray:
-    """Bit-exact inverse of `features_from_received`."""
+    """Bit-exact inverse of `features_from_received`, over any leading
+    batch axes: (..., 2*L*N) features map to (..., L, N) observations."""
     half = pilot_len * antennas
-    flat = features[:half] + 1j * features[half:]
-    return flat.reshape((pilot_len, antennas), order="F")
+    flat = features[..., :half] + 1j * features[..., half:]
+    return flat.reshape(flat.shape[:-1] + (antennas, pilot_len)).swapaxes(-1, -2)
 
 
 def build_dataset(
@@ -114,8 +107,8 @@ def build_dataset(
     labels = np.empty((n_samples, k), dtype=np.int8)
     for i, child in enumerate(stream.spawn(n_samples)):
         activity = sample_activity(config, child)
-        channels = draw_channels(beta, config, child)
-        y = synthesize_received(activity, channels, pilots, config, child)
+        gains = draw_channels(beta, config, child)
+        y = synthesize_received(activity, gains, pilots, config, child)
         y_t = y.transpose(0, 2, 1)
         feat[i, :, 0] = y_t.real
         feat[i, :, 1] = y_t.imag

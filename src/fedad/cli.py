@@ -33,6 +33,7 @@ from .baselines import (
     build_mmv_problem,
     colocate,
     default_lambda,
+    default_step_size,
     fista,
     ista,
 )
@@ -209,12 +210,18 @@ def _version_string() -> str:
     return f"fedad-{__version__}"
 
 
-def _resolve_solver(config: ExperimentConfig, scenario: ScenarioConfig) -> SolverConfig:
+def _resolve_solver(config: ExperimentConfig, artifacts: ScenarioArtifacts) -> SolverConfig:
+    """Fill in the experiment-wide lam and step size: every event shares
+    the dictionary sqrt(tx_power) * pilots."""
     solver = config.solver
+    scenario = artifacts.config
     if solver.lam is None:
         n_total = scenario.num_aps * scenario.antennas_per_ap
         lam = default_lambda(scenario, n_total, config.lambda_scale)
         solver = dataclasses.replace(solver, lam=lam)
+    if solver.step_size is None:
+        dictionary = np.sqrt(scenario.tx_power) * artifacts.pilots
+        solver = dataclasses.replace(solver, step_size=default_step_size(dictionary))
     return solver
 
 
@@ -244,20 +251,13 @@ def _baseline_detect(
     """Per-event centralized MMV solve; the detection statistic is the
     recovered row energy."""
     cfg = artifacts.config
-    solver = _resolve_solver(config, cfg)
+    solver = _resolve_solver(config, artifacts)
     n_events = events.n_samples
+    received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
     stats = np.empty((n_events, cfg.num_devices))
     iters_used = 0
     for i in range(n_events):
-        received = np.stack(
-            [
-                received_from_features(
-                    events.features[i, ap], cfg.pilot_len, cfg.antennas_per_ap
-                )
-                for ap in range(cfg.num_aps)
-            ]
-        )
-        problem = build_mmv_problem(received, artifacts.pilots, cfg.tx_power)
+        problem = build_mmv_problem(received[i], artifacts.pilots, cfg.tx_power)
         if detector == "ista":
             est = ista(problem, solver)
         elif detector == "fista":

@@ -3,9 +3,8 @@ multiply-accumulate cost models.
 
 ROC curves are pooled over (device, trial) pairs: one network-level curve
 per detector. AUC is computed two independent ways, the trapezoidal rule
-over the swept curve and the Mann-Whitney pair-ordering statistic; at full
-threshold resolution the two agree to machine precision, which the tests
-pin down.
+over every threshold of the sweep and the Mann-Whitney pair-ordering
+statistic; the two agree to machine precision, which the tests pin down.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ class ScoredTrials:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold sweep: (threshold, fpr, tpr) triples plus trapezoidal AUC.
+    """Threshold sweep: (threshold, fpr, tpr) triples plus the trapezoidal
+    AUC of the full, uncapped sweep.
 
     Thresholds ascend; fpr and tpr are each nonincreasing along them, and
     the endpoints (1, 1) and (0, 0) in (fpr, tpr) space are always present.
@@ -90,30 +90,31 @@ def _check_both_classes(truths: np.ndarray) -> None:
 
 
 def roc_curve(trials: ScoredTrials, n_thresholds: int | None = None) -> RocCurve:
-    """Sweep thresholds over the sorted unique scores (optionally capped at
-    n_thresholds evenly sampled quantiles) with the decision rule
-    `score >= threshold`; rates are pooled over all trials."""
+    """Sweep thresholds over the sorted unique scores with the decision rule
+    `score >= threshold`; rates are pooled over all trials. The AUC is
+    taken over every threshold; n_thresholds caps only the returned
+    points, at evenly sampled quantiles."""
     scores = np.asarray(trials.scores, dtype=np.float64)
     truths = np.asarray(trials.truths)
     _check_both_classes(truths)
 
-    unique = np.unique(scores)
-    if n_thresholds is not None and len(unique) + 1 > n_thresholds:
-        if n_thresholds < 2:
-            raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
-        idx = np.round(np.linspace(0, len(unique) - 1, n_thresholds - 1)).astype(int)
-        unique = unique[np.unique(idx)]
-    thresholds = np.concatenate([unique, [np.inf]])
-
+    thresholds = np.concatenate([np.unique(scores), [np.inf]])
     pos = np.sort(scores[truths == 1])
     neg = np.sort(scores[truths == 0])
     tp = pos.size - np.searchsorted(pos, thresholds, side="left")
     fp = neg.size - np.searchsorted(neg, thresholds, side="left")
     tpr = tp / pos.size
     fpr = fp / neg.size
-
     # fpr ascends when read back-to-front (thresholds descend).
     auc = float(np.trapezoid(tpr[::-1], fpr[::-1]))
+
+    if n_thresholds is not None and len(thresholds) > n_thresholds:
+        if n_thresholds < 2:
+            raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
+        n_unique = len(thresholds) - 1
+        idx = np.round(np.linspace(0, n_unique - 1, n_thresholds - 1)).astype(int)
+        keep = np.concatenate([np.unique(idx), [n_unique]])
+        thresholds, fpr, tpr = thresholds[keep], fpr[keep], tpr[keep]
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
 
 

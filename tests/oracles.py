@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from fedad.baselines import SolverDivergenceError, SparseEstimate, row_soft_threshold
 from fedad.channel import draw_channels
 from fedad.scenario import sample_activity
 from fedad.slp import bce_loss, forward
@@ -47,7 +48,7 @@ def received_signals_reference(config, beta, pilots, n_samples, stream):
     signals, labels = [], []
     for child in stream.spawn(n_samples):
         activity = sample_activity(config, child)
-        g = draw_channels(beta, config, child).g
+        g = draw_channels(beta, config, child)
         coef = activity.astype(np.float64) * np.sqrt(config.tx_power)
         signal = np.einsum("lk,mkn->mln", pilots, coef[None, :, None] * g)
         noise = (
@@ -56,6 +57,89 @@ def received_signals_reference(config, beta, pilots, n_samples, stream):
         signals.append(signal + noise)
         labels.append(activity)
     return signals, np.array(labels)
+
+
+def _reference_objective(problem, x, lam):
+    residual = problem.observations - problem.dictionary @ x
+    data_term = 0.5 * float(np.linalg.norm(residual) ** 2)
+    return data_term + lam * float(np.sum(np.linalg.norm(np.atleast_2d(x), axis=1)))
+
+
+def _reference_step(problem, solver):
+    if solver.step_size is not None:
+        return solver.step_size
+    return 1.0 / float(np.linalg.norm(problem.dictionary, 2) ** 2)
+
+
+def _reference_divergence(trace, increases, f0):
+    if len(trace) < 2:
+        return increases
+    if trace[-1] > trace[-2] * (1.0 + 1e-12) + 1e-300:
+        increases += 1
+    else:
+        increases = 0
+    if increases >= 5 and trace[-1] > f0:
+        raise SolverDivergenceError("objective increased for 5 consecutive iterations")
+    return increases
+
+
+def _reference_estimate(x, iterations, trace):
+    return SparseEstimate(
+        x_hat=x,
+        activity_stat=np.sum(np.abs(x) ** 2, axis=1) / x.shape[1],
+        iterations_used=iterations,
+        objective_trace=np.asarray(trace),
+    )
+
+
+def ista_reference(problem, solver):
+    """ISTA written out on its own: the objective recomputes its residual
+    and the step size comes from an SVD per solve."""
+    s = problem.dictionary
+    y = problem.observations
+    lam = solver.lam
+    mu = _reference_step(problem, solver)
+    x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
+    trace = [_reference_objective(problem, x, lam)]
+    increases = 0
+    iterations = 0
+    for _ in range(solver.max_iters):
+        grad_step = x + mu * (s.conj().T @ (y - s @ x))
+        x = row_soft_threshold(grad_step, mu * lam)
+        trace.append(_reference_objective(problem, x, lam))
+        iterations += 1
+        increases = _reference_divergence(trace, increases, trace[0])
+        rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
+        if rel < solver.tol:
+            break
+    return _reference_estimate(x, iterations, trace)
+
+
+def fista_reference(problem, solver):
+    """FISTA written out on its own, with the Nesterov t-sequence inline."""
+    s = problem.dictionary
+    y = problem.observations
+    lam = solver.lam
+    mu = _reference_step(problem, solver)
+    x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
+    z = x.copy()
+    t = 1.0
+    trace = [_reference_objective(problem, x, lam)]
+    increases = 0
+    iterations = 0
+    for _ in range(solver.max_iters):
+        grad_step = z + mu * (s.conj().T @ (y - s @ z))
+        x_new = row_soft_threshold(grad_step, mu * lam)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        trace.append(_reference_objective(problem, x, lam))
+        iterations += 1
+        increases = _reference_divergence(trace, increases, trace[0])
+        rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
+        if rel < solver.tol:
+            break
+    return _reference_estimate(x, iterations, trace)
 
 
 def exhaustive_ls_support(dictionary, observations, size):

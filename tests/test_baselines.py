@@ -1,9 +1,14 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    exhaustive_ls_support,
+    fista_reference,
+    ista_reference,
+    orthonormal_dictionary,
+    unit_column_dictionary,
+)
 
 from fedad.baselines import (
     MmvProblem,
@@ -25,16 +30,6 @@ from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario
 
 
-def unit_column_dictionary(rng, ell, k):
-    a = (rng.standard_normal((ell, k)) + 1j * rng.standard_normal((ell, k))) / np.sqrt(2)
-    return a / np.linalg.norm(a, axis=0, keepdims=True)
-
-
-def orthonormal_dictionary(rng, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q
-
-
 def make_problem(dictionary, observations, rho=1.0):
     return MmvProblem(
         dictionary=dictionary,
@@ -44,17 +39,22 @@ def make_problem(dictionary, observations, rho=1.0):
     )
 
 
-def exhaustive_ls_support(dictionary, observations, size):
-    """Brute-force oracle: least-squares fit over every support of the
-    given size, keep the smallest residual."""
-    best, best_resid = None, np.inf
-    for combo in itertools.combinations(range(dictionary.shape[1]), size):
-        sub = dictionary[:, combo]
-        coef, *_ = np.linalg.lstsq(sub, observations, rcond=None)
-        resid = np.linalg.norm(observations - sub @ coef)
-        if resid < best_resid:
-            best, best_resid = set(combo), resid
-    return best
+def sparse_instance():
+    """Seeded 40x100 row-sparse instance with 8 columns: unit-column
+    dictionary, 10 active rows, noise at 0.05, and the lam to solve it at."""
+    rng = np.random.default_rng(20240808)
+    ell, k, c = 40, 100, 8
+    a = unit_column_dictionary(rng, ell, k)
+    x = np.zeros((k, c), complex)
+    active = rng.choice(k, 10, replace=False)
+    x[active] = (
+        rng.standard_normal((10, c)) + 1j * rng.standard_normal((10, c))
+    ) / np.sqrt(2)
+    noise = 0.05 * (
+        rng.standard_normal((ell, c)) + 1j * rng.standard_normal((ell, c))
+    ) / np.sqrt(2)
+    lam = 0.05 * np.sqrt(2 * np.log(k)) * np.sqrt(c)
+    return make_problem(a, a @ x + noise), lam
 
 
 class TestRowSoftThreshold:
@@ -192,19 +192,7 @@ class TestFista:
     def test_head_to_head_iterations(self):
         # On a seeded 40x100 instance FISTA reaches objective gap 1e-6 in
         # no more iterations than ISTA, and their finals agree.
-        rng = np.random.default_rng(20240808)
-        ell, k, c = 40, 100, 8
-        a = unit_column_dictionary(rng, ell, k)
-        x = np.zeros((k, c), complex)
-        active = rng.choice(k, 10, replace=False)
-        x[active] = (
-            rng.standard_normal((10, c)) + 1j * rng.standard_normal((10, c))
-        ) / np.sqrt(2)
-        noise = 0.05 * (
-            rng.standard_normal((ell, c)) + 1j * rng.standard_normal((ell, c))
-        ) / np.sqrt(2)
-        prob = make_problem(a, a @ x + noise)
-        lam = 0.05 * np.sqrt(2 * np.log(k)) * np.sqrt(c)
+        prob, lam = sparse_instance()
         solver = SolverConfig(lam=lam, max_iters=3000, tol=0.0)
         est_i = ista(prob, solver)
         est_f = fista(prob, solver)
@@ -217,6 +205,44 @@ class TestFista:
             est_i.objective_trace[-1]
         )
         assert rel < 1e-6
+
+
+class TestProximalGradientOracle:
+    """ISTA and FISTA share one loop; each must reproduce its own
+    stand-alone reference loop bit for bit."""
+
+    PAIRS = [(ista, ista_reference), (fista, fista_reference)]
+
+    @pytest.mark.parametrize("solver_fn, reference", PAIRS, ids=["ista", "fista"])
+    @pytest.mark.parametrize("case", ["early_stop", "full_budget", "explicit_step"])
+    def test_bit_identical_to_reference(self, solver_fn, reference, case):
+        prob, lam = sparse_instance()
+        solver = {
+            "early_stop": SolverConfig(lam=lam, max_iters=3000, tol=1e-8),
+            "full_budget": SolverConfig(lam=lam, max_iters=150, tol=0.0),
+            "explicit_step": SolverConfig(
+                lam=lam, max_iters=3000, tol=1e-8,
+                step_size=0.7 / np.linalg.norm(prob.dictionary, 2) ** 2,
+            ),
+        }[case]
+        est, ref = solver_fn(prob, solver), reference(prob, solver)
+        if case == "full_budget":
+            assert est.iterations_used == solver.max_iters
+        else:
+            assert est.iterations_used < solver.max_iters
+        assert est.iterations_used == ref.iterations_used
+        assert np.array_equal(est.x_hat, ref.x_hat)
+        assert np.array_equal(est.objective_trace, ref.objective_trace)
+        assert np.array_equal(est.activity_stat, ref.activity_stat)
+
+    @pytest.mark.parametrize("solver_fn, reference", PAIRS, ids=["ista", "fista"])
+    def test_bad_step_size_raises(self, solver_fn, reference):
+        prob, lam = sparse_instance()
+        bad = 10.0 / np.linalg.norm(prob.dictionary, 2) ** 2
+        solver = SolverConfig(lam=lam, max_iters=200, tol=0.0, step_size=bad)
+        for fn in (solver_fn, reference):
+            with pytest.raises(SolverDivergenceError):
+                fn(prob, solver)
 
 
 class TestAmp:

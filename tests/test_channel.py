@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from oracles import received_signals_reference
 
 from fedad.channel import (
-    Channels,
     build_dataset,
     draw_channels,
     features_from_received,
@@ -22,27 +21,34 @@ def orthonormal_pilots(rng, n):
     return q
 
 
+def small_scale_fading(config, stream):
+    """CN(0,1) draws h in draw_channels' order: real parts, then imaginary."""
+    shape = (config.num_aps, config.num_devices, config.antennas_per_ap)
+    return (stream.standard_normal(shape) + 1j * stream.standard_normal(shape)) / np.sqrt(2)
+
+
 class TestDrawChannels:
     def test_composition_rule(self):
         # Hand value: beta=4, h=0.5+0.5j composes to exactly 1+1j.
         assert np.sqrt(4.0) * (0.5 + 0.5j) == 1.0 + 1.0j
         cfg = ScenarioConfig(num_aps=1, num_devices=1, antennas_per_ap=1, cluster_size=1)
-        ch = draw_channels(np.array([[4.0]]), cfg, substream(0, "channels"))
-        assert ch.g[0, 0, 0] == 2.0 * ch.h[0, 0, 0]
+        g = draw_channels(np.array([[4.0]]), cfg, substream(0, "channels"))
+        h = small_scale_fading(cfg, substream(0, "channels"))
+        assert g[0, 0, 0] == 2.0 * h[0, 0, 0]
 
     def test_unit_beta_is_identity(self):
         cfg = ScenarioConfig(num_aps=2, num_devices=3, cluster_size=1)
         beta = np.ones((2, 3))
-        ch = draw_channels(beta, cfg, substream(1, "channels"))
-        assert np.array_equal(ch.g, ch.h)
+        g = draw_channels(beta, cfg, substream(1, "channels"))
+        assert np.array_equal(g, small_scale_fading(cfg, substream(1, "channels")))
 
     def test_unit_variance(self):
         # Sample variance of h over 1e5 draws must be 1.0 +- 0.03.
         cfg = ScenarioConfig(
             num_aps=1, num_devices=100_000, antennas_per_ap=1, cluster_size=1
         )
-        ch = draw_channels(np.ones((1, 100_000)), cfg, substream(5, "channels"))
-        assert abs(np.mean(np.abs(ch.h) ** 2) - 1.0) < 0.03
+        g = draw_channels(np.ones((1, 100_000)), cfg, substream(5, "channels"))
+        assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.03
 
 
 class TestSynthesizeReceived:
@@ -57,18 +63,18 @@ class TestSynthesizeReceived:
     def test_single_active_device_no_noise(self):
         cfg = self._one_ap_config()
         pilots = generate_pilots(cfg, substream(0, "pilots"))
-        channels = Channels(h=None, g=np.full((1, 1, 1), 2.0 + 0.0j))
+        gains = np.full((1, 1, 1), 2.0 + 0.0j)
         y = synthesize_received(
-            np.array([1]), channels, pilots, cfg, substream(0, "noise")
+            np.array([1]), gains, pilots, cfg, substream(0, "noise")
         )
         assert np.allclose(y[0, :, 0], 2.0 * pilots[:, 0], atol=1e-15)
 
     def test_all_inactive_gives_zero(self):
         cfg = self._one_ap_config(num_devices=3)
         pilots = generate_pilots(cfg, substream(0, "pilots"))
-        channels = draw_channels(np.ones((1, 3)), cfg, substream(1, "channels"))
+        gains = draw_channels(np.ones((1, 3)), cfg, substream(1, "channels"))
         y = synthesize_received(
-            np.zeros(3, dtype=np.int8), channels, pilots, cfg, substream(2, "noise")
+            np.zeros(3, dtype=np.int8), gains, pilots, cfg, substream(2, "noise")
         )
         assert np.all(y == 0)
 
@@ -78,12 +84,12 @@ class TestSynthesizeReceived:
         k = 6
         cfg = self._one_ap_config(num_devices=k, pilot_len=k, tx_power=4.0)
         pilots = orthonormal_pilots(np.random.default_rng(3), k)
-        channels = draw_channels(np.ones((1, k)), cfg, substream(4, "channels"))
+        gains = draw_channels(np.ones((1, k)), cfg, substream(4, "channels"))
         activity = np.zeros(k, dtype=np.int8)
         activity[2] = 1
-        y = synthesize_received(activity, channels, pilots, cfg, substream(5, "noise"))
+        y = synthesize_received(activity, gains, pilots, cfg, substream(5, "noise"))
         despread = pilots.conj().T @ y[0, :, 0]
-        assert despread[2] == pytest.approx(2.0 * channels.g[0, 2, 0], rel=1e-12)
+        assert despread[2] == pytest.approx(2.0 * gains[0, 2, 0], rel=1e-12)
         others = np.delete(despread, 2)
         assert np.max(np.abs(others)) < 1e-12
 
@@ -91,13 +97,13 @@ class TestSynthesizeReceived:
         k = 5
         cfg = self._one_ap_config(num_devices=k, pilot_len=8)
         pilots = generate_pilots(cfg, substream(0, "pilots"))
-        channels = draw_channels(np.ones((1, k)), cfg, substream(1, "channels"))
+        gains = draw_channels(np.ones((1, k)), cfg, substream(1, "channels"))
         noise = lambda: substream(9, "noise")
         a1 = np.array([1, 0, 0, 0, 0], dtype=np.int8)
         a2 = np.array([0, 0, 1, 1, 0], dtype=np.int8)
-        y1 = synthesize_received(a1, channels, pilots, cfg, noise())
-        y2 = synthesize_received(a2, channels, pilots, cfg, noise())
-        y12 = synthesize_received(a1 + a2, channels, pilots, cfg, noise())
+        y1 = synthesize_received(a1, gains, pilots, cfg, noise())
+        y2 = synthesize_received(a2, gains, pilots, cfg, noise())
+        y12 = synthesize_received(a1 + a2, gains, pilots, cfg, noise())
         assert np.allclose(y1 + y2, y12, atol=1e-12)
 
     def test_power_scaling(self):
@@ -105,10 +111,10 @@ class TestSynthesizeReceived:
         cfg1 = self._one_ap_config(num_devices=k, pilot_len=8, tx_power=1.0)
         cfg4 = self._one_ap_config(num_devices=k, pilot_len=8, tx_power=4.0)
         pilots = generate_pilots(cfg1, substream(0, "pilots"))
-        channels = draw_channels(np.ones((1, k)), cfg1, substream(1, "channels"))
+        gains = draw_channels(np.ones((1, k)), cfg1, substream(1, "channels"))
         activity = np.array([1, 1, 0, 0], dtype=np.int8)
-        y1 = synthesize_received(activity, channels, pilots, cfg1, substream(2, "noise"))
-        y2 = synthesize_received(activity, channels, pilots, cfg4, substream(2, "noise"))
+        y1 = synthesize_received(activity, gains, pilots, cfg1, substream(2, "noise"))
+        y2 = synthesize_received(activity, gains, pilots, cfg4, substream(2, "noise"))
         assert np.allclose(2.0 * y1, y2, rtol=1e-13)
 
 
@@ -120,6 +126,12 @@ class TestFeatureCodec:
         assert feats.shape == (30,)
         back = received_from_features(feats, 5, 3)
         assert np.array_equal(back, y)
+        # Leading batch axes decode like one observation at a time.
+        batch = rng.standard_normal((4, 6, 30))
+        decoded = received_from_features(batch, 5, 3)
+        assert decoded.shape == (4, 6, 5, 3)
+        for i, ap in np.ndindex(4, 6):
+            assert np.array_equal(decoded[i, ap], received_from_features(batch[i, ap], 5, 3))
 
     @settings(max_examples=30, deadline=None)
     @given(

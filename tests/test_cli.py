@@ -172,6 +172,53 @@ class TestRunExperiment:
         assert np.array_equal(scores, expected.ravel())
         assert not np.array_equal(scores, score_events(params, events, beta, cluster).ravel())
 
+    @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
+    def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch):
+        # The runner decodes all events at once and fills in lam and the
+        # step size once per experiment; scores must equal solving each
+        # event on its own, with the step size from that event's problem.
+        import dataclasses
+
+        from fedad.baselines import amp, build_mmv_problem, colocate, default_lambda, fista, ista
+        from fedad.channel import build_dataset, received_from_features
+        from fedad.rng import substream
+        from fedad.scenario import build_scenario
+
+        # A strong uplink, so that every solver finds some active rows.
+        scenario = {**SMOKE["scenario"], "area_side_km": 0.5, "tx_power": 1e12,
+                    "activation_prob": 0.3}
+        cfg = smoke_config(
+            tmp_path, scenario=scenario, detectors=["ista", "fista", "amp"],
+            eval_trials=3, architecture=arch,
+        )
+        results = run_experiment(cfg).results
+        artifacts = build_scenario(cfg.scenario)
+        if arch == "colocated":
+            artifacts = colocate(artifacts)
+        sc = artifacts.config
+        events = build_dataset(
+            sc, artifacts.beta, artifacts.pilots, cfg.eval_trials, substream(5, "eval-events")
+        )
+        lam = default_lambda(sc, sc.num_aps * sc.antennas_per_ap, cfg.lambda_scale)
+        solver = dataclasses.replace(cfg.solver, lam=lam)
+        assert solver.step_size is None
+        solvers = {
+            "ista": ista,
+            "fista": fista,
+            "amp": lambda p, s: amp(p, s, epsilon_prior=sc.activation_prob),
+        }
+        for name, solve in solvers.items():
+            expected = []
+            for i in range(cfg.eval_trials):
+                received = np.stack([
+                    received_from_features(events.features[i, ap], sc.pilot_len, sc.antennas_per_ap)
+                    for ap in range(sc.num_aps)
+                ])
+                problem = build_mmv_problem(received, artifacts.pilots, sc.tx_power)
+                expected.append(solve(problem, solver).activity_stat)
+            assert np.any(results[name].trials.scores > 0)
+            assert np.array_equal(results[name].trials.scores, np.concatenate(expected))
+
 
 class TestMainEntry:
     def _write(self, tmp_path, data):
