@@ -28,7 +28,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    provenance: dict
 
     @property
     def n_samples(self) -> int:
@@ -113,11 +112,7 @@ def build_dataset(
         feat[i, :, 0] = y_t.real
         feat[i, :, 1] = y_t.imag
         labels[i] = activity
-    return Dataset(
-        features=feat.reshape(n_samples, m, config.feature_dim),
-        labels=labels,
-        provenance={"n_samples": n_samples, "feature_dim": config.feature_dim},
-    )
+    return Dataset(features=feat.reshape(n_samples, m, config.feature_dim), labels=labels)
 
 
 def fit_feature_scaler(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +126,4 @@ def apply_feature_scaler(
     dataset: Dataset, scaler: tuple[np.ndarray, np.ndarray]
 ) -> Dataset:
     mean, std = scaler
-    return Dataset(
-        features=(dataset.features - mean) / std,
-        labels=dataset.labels,
-        provenance={**dataset.provenance, "standardized": True},
-    )
+    return Dataset(features=(dataset.features - mean) / std, labels=dataset.labels)

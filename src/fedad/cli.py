@@ -17,10 +17,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import dataclasses
+import functools
 import json
 import subprocess
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,59 +114,39 @@ class ResultBundle:
     history: list[float] | None = None
 
 
-def _build_section(cls, data: dict, section: str):
+def _build_section(cls, data, section: str):
+    """Strict parse of one JSON object into the dataclass `cls`: unknown
+    keys are rejected, missing keys take the field defaults, dataclass
+    fields are parsed as sections of their own, and tuple fields take
+    JSON lists."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     rename = {"lambda": "lam"} if cls is SolverConfig else {}
     kwargs = {}
     for key, value in data.items():
         attr = rename.get(key, key)
-        if attr not in known:
+        if attr not in hints:
             raise ConfigError(f"{section}: unknown key {key!r}")
+        if dataclasses.is_dataclass(hints[attr]):
+            value = _build_section(hints[attr], value, key)
+        elif typing.get_origin(hints[attr]) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{section}: {key}: must be a JSON list")
+            value = tuple(value)
         kwargs[attr] = value
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Strict parse: unknown keys are rejected, missing keys take the
     documented full-scale defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: must be a JSON object")
-    top_known = {
-        "scenario", "federation", "solver", "detectors", "architecture",
-        "eval_trials", "output_dir", "emit", "lambda_scale",
-    }
-    for key in data:
-        if key not in top_known:
-            raise ConfigError(f"top level: unknown key {key!r}")
-    scenario = _build_section(ScenarioConfig, data.get("scenario", {}), "scenario")
-    federation = _build_section(FederationConfig, data.get("federation", {}), "federation")
-    solver_data = dict(data.get("solver", {}))
-    if solver_data.get("lambda", None) is None:
-        solver_data.pop("lambda", None)
-    solver = _build_section(SolverConfig, solver_data, "solver")
-    try:
-        return ExperimentConfig(
-            scenario=scenario,
-            federation=federation,
-            solver=solver,
-            detectors=tuple(data.get("detectors", ALL_DETECTORS)),
-            architecture=data.get("architecture", "cellfree"),
-            eval_trials=data.get("eval_trials", 1000),
-            output_dir=data.get("output_dir", "results"),
-            emit=tuple(data.get("emit", ("roc_csv", "summary_json"))),
-            lambda_scale=data.get("lambda_scale", 1.0),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build_section(ExperimentConfig, data, "top level")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -181,21 +163,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Inverse of config_from_dict; round-trips through JSON."""
-    solver = dataclasses.asdict(config.solver)
-    solver["lambda"] = solver.pop("lam")
-    return {
-        "scenario": dataclasses.asdict(config.scenario),
-        "federation": dataclasses.asdict(config.federation),
-        "solver": solver,
-        "detectors": list(config.detectors),
-        "architecture": config.architecture,
-        "eval_trials": config.eval_trials,
-        "output_dir": config.output_dir,
-        "emit": list(config.emit),
-        "lambda_scale": config.lambda_scale,
-    }
+    data = dataclasses.asdict(config)
+    data["solver"]["lambda"] = data["solver"].pop("lam")
+    return data
 
 
+@functools.cache
 def _version_string() -> str:
     try:
         described = subprocess.run(
@@ -279,11 +252,11 @@ def _baseline_detect(
 def run_experiment(config: ExperimentConfig) -> ResultBundle:
     """Execute the full seeded pipeline for every requested detector."""
     seed = config.scenario.master_seed
-    artifacts = build_scenario(config.scenario)
-    if config.architecture == "colocated":
-        artifacts = colocate(artifacts)
     stage = "scenario generation"
     try:
+        artifacts = build_scenario(config.scenario)
+        if config.architecture == "colocated":
+            artifacts = colocate(artifacts)
         stage = "evaluation event generation"
         events = build_dataset(
             artifacts.config, artifacts.beta, artifacts.pilots,
@@ -397,19 +370,20 @@ def _mac_table(config: ExperimentConfig) -> str:
         ("fl_per_ap", str(slp.knobs["per_ap_macs"]), str(slp.knobs["per_ap_macs"]), "-"),
         ("fl_network", str(slp.macs), str(slp.macs), "-"),
     ]
+    macs = {}
     for detector in ("ista", "fista", "amp"):
         iters = config.solver.amp_iters if detector == "amp" else config.solver.max_iters
-        c1 = mac_count_amp(cfg, iters, complex_mac_real_ops=1)
-        c4 = mac_count_amp(cfg, iters, complex_mac_real_ops=4)
-        rows.append((detector, str(c1.macs), str(c4.macs), str(iters)))
-    amp_c1 = mac_count_amp(cfg, config.solver.amp_iters, complex_mac_real_ops=1)
-    amp_c4 = mac_count_amp(cfg, config.solver.amp_iters, complex_mac_real_ops=4)
+        macs[detector] = [
+            mac_count_amp(cfg, iters, complex_mac_real_ops=ops).macs for ops in (1, 4)
+        ]
+        rows.append((detector, *map(str, macs[detector]), str(iters)))
+    amp_c1, amp_c4 = macs["amp"]
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
     lines.append(
         "amp/fl network ratio: "
-        f"{amp_c1.macs / slp.macs:.3f} (complex MAC = 1 real MAC), "
-        f"{amp_c4.macs / slp.macs:.3f} (complex MAC = 4 real MACs)"
+        f"{amp_c1 / slp.macs:.3f} (complex MAC = 1 real MAC), "
+        f"{amp_c4 / slp.macs:.3f} (complex MAC = 4 real MACs)"
     )
     return "\n".join(lines)
 

@@ -81,7 +81,6 @@ class LocalUpdate:
 class TrainingHistory:
     heldout_bce: list[float] = field(default_factory=list)
     round_seconds: list[float] = field(default_factory=list)
-    seeds: dict = field(default_factory=dict)
 
 
 def local_train(
@@ -194,8 +193,6 @@ def run_training(
     artifacts: ScenarioArtifacts,
     fed: FederationConfig,
     stream: np.random.Generator,
-    train_data: Dataset | None = None,
-    heldout_data: Dataset | None = None,
 ) -> tuple[SlpParams, TrainingHistory, tuple[np.ndarray, np.ndarray] | None]:
     """Full federated run: R rounds of broadcast, local training at all M
     APs, weighted aggregation, and the server step. Per-AP shards are the
@@ -210,16 +207,14 @@ def run_training(
     init_stream, data_stream, heldout_stream, shuffle_root = stream.spawn(4)
 
     params = init_params(cfg, init_stream)
-    if train_data is None:
-        train_data = build_dataset(
-            cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream
-        )
-    if heldout_data is None:
-        heldout_data = build_dataset(
-            cfg, artifacts.beta, artifacts.pilots, fed.eval_samples, heldout_stream
-        )
+    train_data = build_dataset(
+        cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream
+    )
+    heldout_data = build_dataset(
+        cfg, artifacts.beta, artifacts.pilots, fed.eval_samples, heldout_stream
+    )
     scaler = None
-    if cfg.standardize_features and not train_data.provenance.get("standardized"):
+    if cfg.standardize_features:
         scaler = fit_feature_scaler(train_data)
         train_data = apply_feature_scaler(train_data, scaler)
         heldout_data = apply_feature_scaler(heldout_data, scaler)
@@ -235,7 +230,7 @@ def run_training(
             epsilon=fed.server_eps,
         )
 
-    history = TrainingHistory(seeds={"master_seed": cfg.master_seed})
+    history = TrainingHistory()
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
         if fed.regenerate_each_round and rnd > 0:

@@ -63,9 +63,20 @@ class TestParseConfig:
             config_from_dict({"detectors": ["fl", "mystery"]})
 
     def test_round_trip(self):
-        cfg = config_from_dict(
-            {"scenario": {"num_aps": 8, "cluster_size": 3}, "eval_trials": 7}
-        )
+        cfg = config_from_dict({
+            "scenario": {"num_aps": 8, "cluster_size": 3, "standardize_features": True},
+            "federation": {"rounds": 4, "server_mode": "plain-average"},
+            "solver": {"lambda": 0.25, "max_iters": 50},
+            "detectors": ["amp", "fl"],
+            "architecture": "colocated",
+            "eval_trials": 7,
+            "output_dir": "elsewhere",
+            "emit": ["checkpoints"],
+            "lambda_scale": 2.0,
+        })
+        assert cfg.solver.lam == 0.25 and cfg.detectors == ("amp", "fl")
+        assert cfg.emit == ("checkpoints",)
+        assert config_to_dict(cfg)["solver"]["lambda"] == 0.25
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert again == cfg
 
@@ -235,6 +246,32 @@ class TestMainEntry:
         path = self._write(tmp_path, {"scenario": {"cluster_size": 99, "num_aps": 8}})
         assert main(["validate", "--config", str(path)]) == 2
         assert "cluster_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "top level: must be a JSON object"),
+            ({"scenario": 3}, "scenario: must be a JSON object"),
+            ({"federation": 3}, "federation: must be a JSON object"),
+            ({"solver": 3}, "solver: must be a JSON object"),
+            ({"emit": None}, "emit: must be a JSON list"),
+        ],
+        ids=["top level", "scenario", "federation", "solver", "emit"],
+    )
+    def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
+        path = self._write(tmp_path, data)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_scenario_failure_names_the_stage(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise ValueError("no geometry")
+
+        monkeypatch.setattr("fedad.cli.build_scenario", broken)
+        data = {**SMOKE, "output_dir": str(tmp_path / "results")}
+        path = self._write(tmp_path, data)
+        assert main(["run", "--config", str(path)]) == 3
+        assert "stage failed: scenario generation: no geometry" in capsys.readouterr().err
 
     def test_macs_prints_per_ap_count(self, tmp_path, capsys):
         path = self._write(tmp_path, {})  # full-scale defaults
