@@ -10,11 +10,11 @@ Activity is then read off the recovered row energies.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
 
 from .rng import substream
 from .scenario import (
@@ -47,8 +47,11 @@ class MmvProblem:
     rho: float
 
     def __post_init__(self) -> None:
-        norms = np.linalg.norm(self.dictionary, axis=0)
-        if not np.allclose(norms, np.sqrt(self.rho), atol=1e-9 * max(1.0, np.sqrt(self.rho))):
+        # np.allclose(norms, target, atol=...) with its default rtol = 1e-5.
+        target = np.sqrt(self.rho)
+        atol = 1e-9 * max(1.0, target)
+        deviation = np.abs(_row_norms(self.dictionary.T) - target)
+        if not np.all(deviation <= atol + 1e-5 * target):
             raise ValueError("dictionary columns must have norm sqrt(rho)")
         if self.observations.shape[0] != self.dictionary.shape[0]:
             raise ValueError("observation rows must match dictionary rows")
@@ -104,15 +107,25 @@ def build_mmv_problem(
     received: np.ndarray, pilots: np.ndarray, tx_power: float
 ) -> MmvProblem:
     """Stack the (M, L, N) received tensor into the centralized problem."""
-    m, _, n = received.shape
-    observations = np.concatenate([received[i] for i in range(m)], axis=1)
+    return next(mmv_problems(received[None], pilots, tx_power))
+
+
+def mmv_problems(
+    received: np.ndarray, pilots: np.ndarray, tx_power: float
+) -> Iterator[MmvProblem]:
+    """The centralized problem of each event of an (E, M, L, N) received
+    batch, in order. All events share one dictionary sqrt(tx_power) *
+    pilots; each stacks its M APs' antennas column-wise."""
+    _, m, ell, n = received.shape
+    dictionary = np.sqrt(tx_power) * pilots
     column_ap = np.repeat(np.arange(m), n)
-    return MmvProblem(
-        dictionary=np.sqrt(tx_power) * pilots,
-        observations=observations,
-        column_ap=column_ap,
-        rho=tx_power,
-    )
+    for event in received:
+        yield MmvProblem(
+            dictionary=dictionary,
+            observations=event.transpose(1, 0, 2).reshape(ell, m * n),
+            column_ap=column_ap,
+            rho=tx_power,
+        )
 
 
 def default_lambda(config: ScenarioConfig, n_total: int, scale: float = 1.0) -> float:
@@ -137,7 +150,7 @@ def row_soft_threshold(rows: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     x = np.atleast_2d(rows)
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
     out = x * scale[:, None]
     return out[0] if np.ndim(rows) == 1 else out
@@ -150,8 +163,24 @@ def lasso_objective(problem: MmvProblem, x: np.ndarray, lam: float) -> float:
 
 def _objective(residual: np.ndarray, x: np.ndarray, lam: float) -> float:
     """The LASSO objective of x, given its residual Y - S X."""
-    data_term = 0.5 * float(np.linalg.norm(residual) ** 2)
-    return data_term + lam * float(np.sum(np.linalg.norm(np.atleast_2d(x), axis=1)))
+    data_term = 0.5 * float(_frobenius(residual) ** 2)
+    return data_term + lam * float(np.sum(_row_norms(np.atleast_2d(x))))
+
+
+# The two norms below are the expressions np.linalg.norm evaluates for
+# these cases, bit for bit, without its per-call argument handling; the
+# solvers call them several times per iteration.
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of a 2-D array."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+
+
+def _frobenius(x: np.ndarray) -> np.float64:
+    """np.linalg.norm(x) of a complex array."""
+    flat = x.ravel(order="K")
+    return np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
 
 def _row_energies(x_hat: np.ndarray) -> np.ndarray:
@@ -260,16 +289,33 @@ def momentum_sequence(n: int) -> np.ndarray:
 
 def minimax_threshold_scale(epsilon: float) -> float:
     """Minimax-optimal soft-threshold multiplier for a given active
-    fraction, from the standard state-evolution risk expression."""
+    fraction (Donoho, Maleki & Montanari, PNAS 2009): the minimiser on
+    [0, 6] of the state-evolution risk
+
+        eps (1 + a^2) + 2 (1 - eps) ((1 + a^2) Phi(-a) - a phi(a)).
+
+    Its second derivative 2 eps + 4 (1 - eps) Phi(-a) is positive, so the
+    minimiser is the one root of half the first derivative,
+    eps a + 2 (1 - eps) (a Phi(-a) - phi(a)), found here by bisection
+    (or the bound 6 when the derivative is still negative there).
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
-    def risk(alpha: float) -> float:
-        gauss_tail = (1.0 + alpha**2) * norm.cdf(-alpha) - alpha * norm.pdf(alpha)
-        return epsilon * (1.0 + alpha**2) + (1.0 - epsilon) * 2.0 * gauss_tail
+    def half_slope(a: float) -> float:
+        tail = 0.5 * math.erfc(a / math.sqrt(2.0))
+        density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+        return epsilon * a + 2.0 * (1.0 - epsilon) * (a * tail - density)
 
-    res = minimize_scalar(risk, bounds=(0.0, 6.0), method="bounded")
-    return float(res.x)
+    lo, hi = 0.0, 6.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if half_slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def amp(
@@ -293,17 +339,20 @@ def amp(
             raise ValueError("amp_alpha unset: an epsilon_prior is required")
         alpha = minimax_threshold_scale(epsilon_prior)
 
+    a_h = a.conj().T
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
     residual = y.copy()
+    residual_norm = _frobenius(residual)
     trace = []
     for _ in range(solver.amp_iters):
-        tau = alpha * np.sqrt(np.linalg.norm(residual) ** 2 / ell)
-        x = row_soft_threshold(x + a.conj().T @ residual, tau)
-        support = int(np.sum(np.linalg.norm(x, axis=1) > 0))
+        tau = alpha * np.sqrt(residual_norm ** 2 / ell)
+        x = row_soft_threshold(x + a_h @ residual, tau)
+        support = int(np.sum(_row_norms(x) > 0))
         residual = y - a @ x + (support / ell) * residual
         if not np.all(np.isfinite(residual)) or not np.all(np.isfinite(x)):
             raise SolverDivergenceError("AMP produced non-finite values")
-        trace.append(float(np.linalg.norm(residual)))
+        residual_norm = _frobenius(residual)
+        trace.append(float(residual_norm))
     x_hat = x / np.sqrt(problem.rho)
     return SparseEstimate(
         x_hat=x_hat,

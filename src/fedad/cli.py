@@ -32,12 +32,12 @@ from . import __version__
 from .baselines import (
     SolverConfig,
     amp,
-    build_mmv_problem,
     colocate,
     default_lambda,
     default_step_size,
     fista,
     ista,
+    mmv_problems,
 )
 from .channel import apply_feature_scaler, build_dataset, received_from_features
 from .evaluation import MacCount, RocCurve, ScoredTrials, mac_count_amp, mac_count_slp, roc_curve
@@ -114,26 +114,52 @@ class ResultBundle:
     history: list[float] | None = None
 
 
+_SCALAR_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    type(None): "null",
+}
+
+
+def _check_scalar(hint, value, where: str) -> None:
+    """Raise ConfigError unless `value` is a JSON value of the field type
+    `hint` (a scalar type, or a union of them such as `float | None`).
+    Types match exactly, so a bool is no integer; a float field also
+    takes an integer."""
+    accepted = typing.get_args(hint) or (hint,)
+    if type(value) in accepted or (type(value) is int and float in accepted):
+        return
+    expected = " or ".join(_SCALAR_NAMES[kind] for kind in accepted)
+    raise ConfigError(f"{where}: must be {expected}, got {json.dumps(value, default=repr)}")
+
+
 def _build_section(cls, data, section: str):
     """Strict parse of one JSON object into the dataclass `cls`: unknown
     keys are rejected, missing keys take the field defaults, dataclass
-    fields are parsed as sections of their own, and tuple fields take
-    JSON lists."""
+    fields are parsed as sections of their own, tuple fields take JSON
+    lists, and scalar fields take JSON values of their type."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: must be a JSON object")
     hints = typing.get_type_hints(cls)
-    rename = {"lambda": "lam"} if cls is SolverConfig else {}
+    attr_of = {name: name for name in hints}
+    if cls is SolverConfig:
+        attr_of["lambda"] = attr_of.pop("lam")
     kwargs = {}
     for key, value in data.items():
-        attr = rename.get(key, key)
-        if attr not in hints:
+        attr = attr_of.get(key)
+        if attr is None:
             raise ConfigError(f"{section}: unknown key {key!r}")
-        if dataclasses.is_dataclass(hints[attr]):
-            value = _build_section(hints[attr], value, key)
-        elif typing.get_origin(hints[attr]) is tuple:
+        hint = hints[attr]
+        if dataclasses.is_dataclass(hint):
+            value = _build_section(hint, value, key)
+        elif typing.get_origin(hint) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{section}: {key}: must be a JSON list")
             value = tuple(value)
+        else:
+            _check_scalar(hint, value, f"{section}: {key}")
         kwargs[attr] = value
     try:
         return cls(**kwargs)
@@ -229,8 +255,7 @@ def _baseline_detect(
     received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
     stats = np.empty((n_events, cfg.num_devices))
     iters_used = 0
-    for i in range(n_events):
-        problem = build_mmv_problem(received[i], artifacts.pilots, cfg.tx_power)
+    for i, problem in enumerate(mmv_problems(received, artifacts.pilots, cfg.tx_power)):
         if detector == "ista":
             est = ista(problem, solver)
         elif detector == "fista":

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from fedad.baselines import SolverDivergenceError, SparseEstimate, row_soft_threshold
+from fedad.baselines import SolverDivergenceError, SparseEstimate
 from fedad.channel import draw_channels
 from fedad.scenario import sample_activity
 from fedad.slp import bce_loss, forward
@@ -59,6 +59,14 @@ def received_signals_reference(config, beta, pilots, n_samples, stream):
     return signals, np.array(labels)
 
 
+def _reference_row_soft_threshold(rows, tau):
+    x = np.atleast_2d(rows)
+    norms = np.linalg.norm(x, axis=1)
+    scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
+    out = x * scale[:, None]
+    return out[0] if np.ndim(rows) == 1 else out
+
+
 def _reference_objective(problem, x, lam):
     residual = problem.observations - problem.dictionary @ x
     data_term = 0.5 * float(np.linalg.norm(residual) ** 2)
@@ -105,7 +113,7 @@ def ista_reference(problem, solver):
     iterations = 0
     for _ in range(solver.max_iters):
         grad_step = x + mu * (s.conj().T @ (y - s @ x))
-        x = row_soft_threshold(grad_step, mu * lam)
+        x = _reference_row_soft_threshold(grad_step, mu * lam)
         trace.append(_reference_objective(problem, x, lam))
         iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
@@ -129,7 +137,7 @@ def fista_reference(problem, solver):
     iterations = 0
     for _ in range(solver.max_iters):
         grad_step = z + mu * (s.conj().T @ (y - s @ z))
-        x_new = row_soft_threshold(grad_step, mu * lam)
+        x_new = _reference_row_soft_threshold(grad_step, mu * lam)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
@@ -140,6 +148,34 @@ def fista_reference(problem, solver):
         if rel < solver.tol:
             break
     return _reference_estimate(x, iterations, trace)
+
+
+def amp_reference(problem, solver):
+    """AMP written out on its own, with norms from np.linalg.norm, the
+    adjoint formed every iteration and the residual norm taken twice;
+    `solver.amp_alpha` must be set."""
+    a = problem.dictionary / np.sqrt(problem.rho)
+    y = problem.observations
+    ell = a.shape[0]
+    alpha = solver.amp_alpha
+    x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
+    residual = y.copy()
+    trace = []
+    for _ in range(solver.amp_iters):
+        tau = alpha * np.sqrt(np.linalg.norm(residual) ** 2 / ell)
+        x = _reference_row_soft_threshold(x + a.conj().T @ residual, tau)
+        support = int(np.sum(np.linalg.norm(x, axis=1) > 0))
+        residual = y - a @ x + (support / ell) * residual
+        if not np.all(np.isfinite(residual)) or not np.all(np.isfinite(x)):
+            raise SolverDivergenceError("AMP produced non-finite values")
+        trace.append(float(np.linalg.norm(residual)))
+    x_hat = x / np.sqrt(problem.rho)
+    return SparseEstimate(
+        x_hat=x_hat,
+        activity_stat=np.sum(np.abs(x_hat) ** 2, axis=1) / x_hat.shape[1],
+        iterations_used=solver.amp_iters,
+        objective_trace=np.asarray(trace),
+    )
 
 
 def exhaustive_ls_support(dictionary, observations, size):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    amp_reference,
     exhaustive_ls_support,
     fista_reference,
     ista_reference,
@@ -22,6 +23,7 @@ from fedad.baselines import (
     ista,
     lasso_objective,
     minimax_threshold_scale,
+    mmv_problems,
     momentum_sequence,
     row_soft_threshold,
 )
@@ -245,6 +247,25 @@ class TestProximalGradientOracle:
                 fn(prob, solver)
 
 
+class TestAmpOracle:
+    """AMP must reproduce its stand-alone reference loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "alpha, iters, rho", [(1.5, 25, 1.0), (1.0, 60, 1.0), (1.5, 25, 4.0), (2.0, 5, 1e12)]
+    )
+    def test_bit_identical_to_reference(self, alpha, iters, rho):
+        unit, _ = sparse_instance()
+        scale = np.sqrt(rho)
+        prob = make_problem(scale * unit.dictionary, scale * unit.observations, rho)
+        solver = SolverConfig(amp_alpha=alpha, amp_iters=iters)
+        est, ref = amp(prob, solver), amp_reference(prob, solver)
+        assert np.any(est.activity_stat > 0)
+        assert est.iterations_used == ref.iterations_used == iters
+        assert np.array_equal(est.x_hat, ref.x_hat)
+        assert np.array_equal(est.objective_trace, ref.objective_trace)
+        assert np.array_equal(est.activity_stat, ref.activity_stat)
+
+
 class TestAmp:
     def test_orthonormal_single_active_one_iteration(self):
         rng = np.random.default_rng(7)
@@ -299,6 +320,30 @@ class TestAmp:
         a_dense = minimax_threshold_scale(0.3)
         assert a_sparse > a_dense > 0.0
 
+    def test_minimax_scale_matches_bounded_minimiser(self):
+        # Against scipy's bounded scalar search on the same risk, and a
+        # stationary point to full precision, which that search (xatol
+        # 1e-5) is not.
+        optimize = pytest.importorskip("scipy.optimize")
+        norm = pytest.importorskip("scipy.stats").norm
+        for eps in np.geomspace(1e-4, 0.999, 25):
+            def risk(a, eps=eps):
+                tail = (1.0 + a**2) * norm.cdf(-a) - a * norm.pdf(a)
+                return eps * (1.0 + a**2) + (1.0 - eps) * 2.0 * tail
+
+            expected = optimize.minimize_scalar(risk, bounds=(0.0, 6.0), method="bounded").x
+            got = minimax_threshold_scale(eps)
+            assert got == pytest.approx(expected, abs=1e-5)
+            half_slope = eps * got + 2.0 * (1.0 - eps) * (got * norm.cdf(-got) - norm.pdf(got))
+            assert abs(half_slope) < 1e-12
+
+    def test_minimax_scale_domain(self):
+        for eps in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError, match="epsilon"):
+                minimax_threshold_scale(eps)
+        # Almost no active devices: the risk still falls at the bound.
+        assert minimax_threshold_scale(1e-12) == 6.0
+
 
 class TestStatisticSeparation:
     @pytest.mark.parametrize("solver_name", ["ista", "fista", "amp"])
@@ -334,8 +379,48 @@ class TestBuildMmvProblem:
         )
         prob = build_mmv_problem(received, art.pilots, cfg.tx_power)
         assert prob.observations.shape == (5, 6)
+        assert np.array_equal(prob.observations, np.concatenate(list(received), axis=1))
         assert np.array_equal(prob.column_ap, [0, 0, 1, 1, 2, 2])
         assert np.allclose(np.linalg.norm(prob.dictionary, axis=0), 2.0, atol=1e-9)
+
+    def test_batch_shares_one_dictionary(self):
+        cfg = ScenarioConfig(
+            num_aps=3, antennas_per_ap=2, num_devices=6, pilot_len=5,
+            cluster_size=2, tx_power=4.0,
+        )
+        art = build_scenario(cfg)
+        ds = build_dataset(cfg, art.beta, art.pilots, 4, substream(0, "events"))
+        received = received_from_features(ds.features, 5, 2)
+        problems = list(mmv_problems(received, art.pilots, cfg.tx_power))
+        assert len(problems) == 4
+        for event, prob in zip(received, problems):
+            single = build_mmv_problem(event, art.pilots, cfg.tx_power)
+            assert np.array_equal(prob.observations, np.concatenate(list(event), axis=1))
+            assert np.array_equal(prob.observations, single.observations)
+            assert np.array_equal(prob.dictionary, single.dictionary)
+            assert prob.dictionary is problems[0].dictionary
+
+    @pytest.mark.parametrize("rho", [1e-12, 1.0, 4.0, 1e12])
+    def test_column_norm_tolerance_boundary(self, rho):
+        # np.allclose's rule: |norm - sqrt(rho)| <= atol + 1e-5 sqrt(rho),
+        # with atol = 1e-9 max(1, sqrt(rho)).
+        a = unit_column_dictionary(np.random.default_rng(14), 4, 5)
+        target = np.sqrt(rho)
+        tol = 1e-9 * max(1.0, target) + 1e-5 * target
+        for sign in (1.0, -1.0):
+            for fraction, accepted in ((0.99, True), (1.01, False)):
+                dictionary = (target + sign * fraction * tol) * a
+                build = lambda: MmvProblem(  # noqa: E731
+                    dictionary=dictionary,
+                    observations=np.zeros((4, 2), complex),
+                    column_ap=np.zeros(2, dtype=int),
+                    rho=rho,
+                )
+                if accepted:
+                    build()
+                else:
+                    with pytest.raises(ValueError, match="norm"):
+                        build()
 
     def test_column_norm_invariant_enforced(self):
         rng = np.random.default_rng(13)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedad
 from fedad.cli import (
     ConfigError,
     config_from_dict,
@@ -255,8 +260,13 @@ class TestMainEntry:
             ({"federation": 3}, "federation: must be a JSON object"),
             ({"solver": 3}, "solver: must be a JSON object"),
             ({"emit": None}, "emit: must be a JSON list"),
+            ({"eval_trials": 2.5}, "top level: eval_trials: must be an integer, got 2.5"),
+            ({"scenario": {"num_aps": True}}, "scenario: num_aps: must be an integer, got true"),
+            ({"solver": {"tol": "x"}}, 'solver: tol: must be a number, got "x"'),
+            ({"solver": {"lam": 0.5}}, "solver: unknown key 'lam'"),
         ],
-        ids=["top level", "scenario", "federation", "solver", "emit"],
+        ids=["top level", "scenario", "federation", "solver", "emit",
+             "float int", "bool int", "string float", "lam alias"],
     )
     def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
         path = self._write(tmp_path, data)
@@ -301,3 +311,18 @@ class TestMainEntry:
     def test_run_bad_detector_exit_2(self, tmp_path):
         path = self._write(tmp_path, SMOKE)
         assert main(["run", "--config", str(path), "--detectors", "nope"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # The runtime needs numpy alone: a fresh `import fedad.cli` must not
+    # pull in any scipy module.
+    env = {**os.environ, "PYTHONPATH": str(Path(fedad.__file__).resolve().parent.parent)}
+    code = (
+        "import sys, fedad.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
