@@ -393,11 +393,9 @@ class TestBuildMmvProblem:
         received = received_from_features(ds.features, 5, 2)
         problems = list(mmv_problems(received, art.pilots, cfg.tx_power))
         assert len(problems) == 4
+        assert np.array_equal(problems[0].dictionary, 2.0 * art.pilots)
         for event, prob in zip(received, problems):
-            single = build_mmv_problem(event, art.pilots, cfg.tx_power)
             assert np.array_equal(prob.observations, np.concatenate(list(event), axis=1))
-            assert np.array_equal(prob.observations, single.observations)
-            assert np.array_equal(prob.dictionary, single.dictionary)
             assert prob.dictionary is problems[0].dictionary
 
     @pytest.mark.parametrize("rho", [1e-12, 1.0, 4.0, 1e12])
@@ -409,18 +407,17 @@ class TestBuildMmvProblem:
         tol = 1e-9 * max(1.0, target) + 1e-5 * target
         for sign in (1.0, -1.0):
             for fraction, accepted in ((0.99, True), (1.01, False)):
-                dictionary = (target + sign * fraction * tol) * a
-                build = lambda: MmvProblem(  # noqa: E731
-                    dictionary=dictionary,
+                fields = dict(
+                    dictionary=(target + sign * fraction * tol) * a,
                     observations=np.zeros((4, 2), complex),
                     column_ap=np.zeros(2, dtype=int),
                     rho=rho,
                 )
                 if accepted:
-                    build()
+                    MmvProblem(**fields)
                 else:
                     with pytest.raises(ValueError, match="norm"):
-                        build()
+                        MmvProblem(**fields)
 
     def test_column_norm_invariant_enforced(self):
         rng = np.random.default_rng(13)
