@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .rng import substream
-from .scenario import (
-    Geometry,
-    ScenarioArtifacts,
-    ScenarioConfig,
-    large_scale_fading,
-    with_overrides,
-)
+from .scenario import Geometry, ScenarioArtifacts, ScenarioConfig, large_scale_fading
 
 
 class SolverDivergenceError(RuntimeError):
@@ -37,13 +31,11 @@ class MmvProblem:
 
     dictionary:   (L, K) complex, every column of norm sqrt(rho)
     observations: (L, C) complex, C = total antennas stacked column-wise
-    column_ap:    (C,) AP index that produced each observation column
     rho:          common squared column norm (transmit power scale)
     """
 
     dictionary: np.ndarray
     observations: np.ndarray
-    column_ap: np.ndarray
     rho: float
 
     def __post_init__(self) -> None:
@@ -55,8 +47,6 @@ class MmvProblem:
             raise ValueError("dictionary columns must have norm sqrt(rho)")
         if self.observations.shape[0] != self.dictionary.shape[0]:
             raise ValueError("observation rows must match dictionary rows")
-        if self.column_ap.shape[0] != self.observations.shape[1]:
-            raise ValueError("column_ap must label every observation column")
 
 
 @dataclass(frozen=True)
@@ -103,13 +93,6 @@ class SparseEstimate:
     objective_trace: np.ndarray
 
 
-def build_mmv_problem(
-    received: np.ndarray, pilots: np.ndarray, tx_power: float
-) -> MmvProblem:
-    """Stack the (M, L, N) received tensor into the centralized problem."""
-    return next(mmv_problems(received[None], pilots, tx_power))
-
-
 def mmv_problems(
     received: np.ndarray, pilots: np.ndarray, tx_power: float
 ) -> Iterator[MmvProblem]:
@@ -118,12 +101,10 @@ def mmv_problems(
     pilots; each stacks its M APs' antennas column-wise."""
     _, m, ell, n = received.shape
     dictionary = np.sqrt(tx_power) * pilots
-    column_ap = np.repeat(np.arange(m), n)
     for event in received:
         yield MmvProblem(
             dictionary=dictionary,
             observations=event.transpose(1, 0, 2).reshape(ell, m * n),
-            column_ap=column_ap,
             rho=tx_power,
         )
 
@@ -156,13 +137,9 @@ def row_soft_threshold(rows: np.ndarray, tau: float) -> np.ndarray:
     return out[0] if np.ndim(rows) == 1 else out
 
 
-def lasso_objective(problem: MmvProblem, x: np.ndarray, lam: float) -> float:
-    """0.5 * ||Y - S X||_F^2 + lam * sum_k ||row k of X||_2."""
-    return _objective(problem.observations - problem.dictionary @ x, x, lam)
-
-
 def _objective(residual: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """The LASSO objective of x, given its residual Y - S X."""
+    """The LASSO objective 0.5 * ||Y - S X||_F^2 + lam * sum_k ||row k of X||_2
+    of x, given its residual Y - S X."""
     data_term = 0.5 * float(_frobenius(residual) ** 2)
     return data_term + lam * float(np.sum(_row_norms(np.atleast_2d(x))))
 
@@ -277,16 +254,6 @@ def fista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     return _proximal_gradient(problem, solver, accelerate=True)
 
 
-def momentum_sequence(n: int) -> np.ndarray:
-    """First n values of the Nesterov t-sequence, starting at t_1 = 1."""
-    out = np.empty(n)
-    t = 1.0
-    for i in range(n):
-        out[i] = t
-        t = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-    return out
-
-
 def minimax_threshold_scale(epsilon: float) -> float:
     """Minimax-optimal soft-threshold multiplier for a given active
     fraction (Donoho, Maleki & Montanari, PNAS 2009): the minimiser on
@@ -368,7 +335,7 @@ def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
     center distances, pilots and devices unchanged."""
     cfg = artifacts.config
     center = 0.5 * cfg.area_side_km
-    colocated_cfg = with_overrides(
+    colocated_cfg = replace(
         cfg,
         num_aps=1,
         antennas_per_ap=cfg.num_aps * cfg.antennas_per_ap,

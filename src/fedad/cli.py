@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -127,9 +128,11 @@ def _check_scalar(hint, value, where: str) -> None:
     """Raise ConfigError unless `value` is a JSON value of the field type
     `hint` (a scalar type, or a union of them such as `float | None`).
     Types match exactly, so a bool is no integer; a float field also
-    takes an integer."""
+    takes an integer, and no number field takes NaN or an infinity."""
     accepted = typing.get_args(hint) or (hint,)
     if type(value) in accepted or (type(value) is int and float in accepted):
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{where}: must be a finite number, got {json.dumps(value)}")
         return
     expected = " or ".join(_SCALAR_NAMES[kind] for kind in accepted)
     raise ConfigError(f"{where}: must be {expected}, got {json.dumps(value, default=repr)}")
@@ -142,7 +145,9 @@ def _build_section(cls, data, section: str):
     lists, and scalar fields take JSON values of their type."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: must be a JSON object")
-    hints = typing.get_type_hints(cls)
+    # Resolved in this module's namespace, which names every section type
+    # also when the module runs as __main__ (python -m cProfile -m ...).
+    hints = typing.get_type_hints(cls, globalns=globals())
     attr_of = {name: name for name in hints}
     if cls is SolverConfig:
         attr_of["lambda"] = attr_of.pop("lam")
@@ -303,6 +308,8 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
                 trials, iters = _baseline_detect(detector, config, artifacts, events)
                 macs1 = mac_count_amp(cfg, iters, complex_mac_real_ops=1)
                 macs4 = mac_count_amp(cfg, iters, complex_mac_real_ops=4)
+            if not np.all(np.isfinite(trials.scores)):
+                raise ValueError("scores are not all finite")
             runtime = time.perf_counter() - t0
             results[detector] = DetectorResult(
                 roc=roc_curve(trials, ROC_MAX_POINTS),

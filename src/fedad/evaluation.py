@@ -1,5 +1,5 @@
-"""ROC curves, AUC (trapezoid and rank-statistic), confusion counts, and
-multiply-accumulate cost models.
+"""ROC curves, AUC (trapezoid and rank-statistic), and multiply-accumulate
+cost models.
 
 ROC curves are pooled over (device, trial) pairs: one network-level curve
 per detector. AUC is computed two independent ways, the trapezoidal rule
@@ -66,19 +66,6 @@ class MacCount:
     def __post_init__(self) -> None:
         if self.macs != sum(self.breakdown.values()):
             raise ValueError("macs must equal the sum of the breakdown")
-
-
-def confusion(estimates: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) counts over devices."""
-    est = np.asarray(estimates).astype(bool)
-    tru = np.asarray(truth).astype(bool)
-    if est.shape != tru.shape:
-        raise ValueError(f"length mismatch: {est.shape} vs {tru.shape}")
-    tp = int(np.sum(est & tru))
-    fp = int(np.sum(est & ~tru))
-    tn = int(np.sum(~est & ~tru))
-    fn = int(np.sum(~est & tru))
-    return tp, fp, tn, fn
 
 
 def _check_both_classes(truths: np.ndarray) -> None:
@@ -175,10 +162,7 @@ def mac_count_amp(
     two L x K by K x N_total complex products per iteration.
 
     `complex_mac_real_ops` selects the accounting convention (a complex MAC
-    as 4 real MACs, or counted as 1). Row-shrinkage costs are reported in
-    the knobs; they are an order of magnitude below the matrix products and
-    are excluded from the headline tally so it stays a pure function of the
-    stated product dimensions.
+    as 4 real MACs, or counted as 1).
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
@@ -199,6 +183,5 @@ def mac_count_amp(
             "num_devices": k,
             "n_total_antennas": n_total,
             "complex_mac_real_ops": complex_mac_real_ops,
-            "row_shrinkage_macs": iters * complex_mac_real_ops * k * n_total,
         },
     )

@@ -6,7 +6,7 @@ average of the returned parameters and applies its own optimization step
 (plain pass-through or a FedOpt-style Adam on the averaging delta).
 
 At inference the CPU fuses per-AP probabilities per device over the
-cluster of that device's strongest APs, then hard-thresholds.
+cluster of that device's strongest APs.
 
 Update wire format (version 1, little-endian), used for checkpoints and
 to make the parameters-only exchange auditable:
@@ -58,6 +58,12 @@ class FederationConfig:
                 raise ValueError(f"{key}: must be >= 1, got {getattr(self, key)}")
         if self.local_epochs < 0:
             raise ValueError(f"local_epochs: must be >= 0, got {self.local_epochs}")
+        for key in ("local_lr", "server_lr", "adam_eps", "server_eps"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key}: must be > 0, got {getattr(self, key)}")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key}: must lie in [0, 1), got {getattr(self, key)}")
         if self.server_mode not in ("plain-average", "server-adam"):
             raise ValueError(f"server_mode: unknown mode {self.server_mode!r}")
         if self.weight_mode not in ("shard_size", "beta_sum"):
@@ -172,7 +178,9 @@ def score_events(
     params: SlpParams, dataset: Dataset, beta: np.ndarray, cluster_size: int
 ) -> np.ndarray:
     """System output (n_events, K): the model runs at every AP, and each
-    device's score is the mean over its cluster, as in fuse_cluster_scores."""
+    device's score is the mean of the scores of its cluster, the
+    cluster_size APs with the largest large-scale gain toward it (ties
+    broken toward the lower AP index)."""
     top = _cluster_members(beta, cluster_size)            # (T, K)
     n_events, m, _ = dataset.features.shape
     k = beta.shape[1]
@@ -260,30 +268,11 @@ def run_training(
     return params, history, scaler
 
 
-def fuse_cluster_scores(
-    per_ap_scores: np.ndarray, beta: np.ndarray, cluster_size: int
-) -> np.ndarray:
-    """Fuse per-AP probabilities: for each device, average the scores of
-    the cluster_size APs with the largest large-scale gain toward it (ties
-    broken toward the lower AP index)."""
-    top = _cluster_members(beta, cluster_size)
-    if per_ap_scores.shape != beta.shape:
-        raise ValueError(
-            f"per_ap_scores shape {per_ap_scores.shape} does not match beta {beta.shape}"
-        )
-    return per_ap_scores[top, np.arange(beta.shape[1])].mean(axis=0)
-
-
 def _cluster_members(beta: np.ndarray, cluster_size: int) -> np.ndarray:
     """(T, K) indices of each device's T strongest APs, best first."""
     if cluster_size > beta.shape[0]:
         raise ValueError(f"cluster_size {cluster_size} exceeds number of APs {beta.shape[0]}")
     return np.argsort(-beta, axis=0, kind="stable")[:cluster_size]
-
-
-def threshold_detect(scores: np.ndarray, theta: float) -> np.ndarray:
-    """Hard decision: active iff score >= theta."""
-    return (np.asarray(scores) >= theta).astype(np.int8)
 
 
 def serialize_update(update: LocalUpdate, round_index: int) -> bytes:

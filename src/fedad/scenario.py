@@ -11,7 +11,7 @@ under the default path-loss law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class ScenarioConfig:
     tx_power: float = 1e11
     noise_var: float = 1.0
     hidden_units: int = 512
-    hidden_layers: int = 1
     cluster_size: int = 4
     master_seed: int = 1
     # Path-loss law: beta_dB = intercept - exponent * log10(d_m), d_m floored.
@@ -62,8 +61,6 @@ class ScenarioConfig:
                 f"cluster_size: must be <= num_aps "
                 f"({self.cluster_size} > {self.num_aps})"
             )
-        if self.hidden_layers != 1:
-            raise ValueError(f"hidden_layers: fixed to 1, got {self.hidden_layers}")
         if self.tx_power <= 0:
             raise ValueError(f"tx_power: must be > 0, got {self.tx_power}")
         if self.noise_var < 0:
@@ -153,8 +150,3 @@ def build_scenario(config: ScenarioConfig) -> ScenarioArtifacts:
     beta = large_scale_fading(geometry, config, shadow_stream)
     pilots = generate_pilots(config, substream(config.master_seed, "pilots"))
     return ScenarioArtifacts(config=config, geometry=geometry, beta=beta, pilots=pilots)
-
-
-def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Convenience wrapper around dataclasses.replace with validation."""
-    return replace(config, **changes)

@@ -57,9 +57,6 @@ class SlpParams:
     def copy(self) -> "SlpParams":
         return self.like(self.flat.copy())
 
-    def leaves(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2)
-
 
 @dataclass
 class AdamState:

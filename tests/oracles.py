@@ -178,6 +178,20 @@ def amp_reference(problem, solver):
     )
 
 
+def fuse_cluster_scores(per_ap_scores, beta, cluster_size):
+    """Fuse one event's (M, K) per-AP probabilities: for each device, the
+    mean score of the cluster_size APs with the largest large-scale gain
+    toward it, ties broken toward the lower AP index."""
+    if cluster_size > beta.shape[0]:
+        raise ValueError(f"cluster_size {cluster_size} exceeds number of APs {beta.shape[0]}")
+    if per_ap_scores.shape != beta.shape:
+        raise ValueError(
+            f"per_ap_scores shape {per_ap_scores.shape} does not match beta {beta.shape}"
+        )
+    top = np.argsort(-beta, axis=0, kind="stable")[:cluster_size]
+    return per_ap_scores[top, np.arange(beta.shape[1])].mean(axis=0)
+
+
 def exhaustive_ls_support(dictionary, observations, size):
     """Least-squares residual over every support of the given size."""
     best, best_resid = None, np.inf

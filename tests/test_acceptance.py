@@ -55,7 +55,7 @@ def scalar_params(value):
 
 
 def params_equal(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a.leaves(), b.leaves()))
+    return np.array_equal(a.flat, b.flat)
 
 
 def test_criterion_1_gradient_correctness():
@@ -94,9 +94,7 @@ def test_criterion_2_solver_oracle_equivalence():
     # Orthonormal dictionary: both solvers land on the analytic prox.
     q = orthonormal_dictionary(rng, 8)
     y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    prob = MmvProblem(
-        dictionary=q, observations=y, column_ap=np.zeros(3, dtype=int), rho=1.0
-    )
+    prob = MmvProblem(dictionary=q, observations=y, rho=1.0)
     closed = row_soft_threshold(q.conj().T @ y, 0.2)
     solver = SolverConfig(lam=0.2, max_iters=500, tol=1e-15)
     for solve in (ista, fista):
@@ -110,10 +108,7 @@ def test_criterion_2_solver_oracle_equivalence():
     active = rng.choice(k, 10, replace=False)
     x[active] = (rng.standard_normal((10, c)) + 1j * rng.standard_normal((10, c))) / np.sqrt(2)
     noise = 0.05 * (rng.standard_normal((ell, c)) + 1j * rng.standard_normal((ell, c)))
-    prob = MmvProblem(
-        dictionary=a, observations=a @ x + noise,
-        column_ap=np.zeros(c, dtype=int), rho=1.0,
-    )
+    prob = MmvProblem(dictionary=a, observations=a @ x + noise, rho=1.0)
     lam = 0.05 * np.sqrt(2 * np.log(k)) * np.sqrt(c)
     cfg = SolverConfig(lam=lam, max_iters=4000, tol=0.0)
     est_i = ista(prob, cfg)
@@ -142,10 +137,7 @@ def test_criterion_3_amp_small_instance_oracle():
         x[active] = (
             rng.standard_normal((n_active, 4)) + 1j * rng.standard_normal((n_active, 4))
         ) / np.sqrt(2)
-        prob = MmvProblem(
-            dictionary=a, observations=a @ x,
-            column_ap=np.zeros(4, dtype=int), rho=1.0,
-        )
+        prob = MmvProblem(dictionary=a, observations=a @ x, rho=1.0)
         est = amp(prob, SolverConfig(lam=0.0, amp_iters=25, amp_alpha=1.5))
         top = set(np.argsort(-est.activity_stat)[:n_active].tolist())
         if top == exhaustive_ls_support(a, prob.observations, n_active):

@@ -15,16 +15,14 @@ from fedad.baselines import (
     MmvProblem,
     SolverConfig,
     SolverDivergenceError,
+    _objective,
     amp,
-    build_mmv_problem,
     colocate,
     default_lambda,
     fista,
     ista,
-    lasso_objective,
     minimax_threshold_scale,
     mmv_problems,
-    momentum_sequence,
     row_soft_threshold,
 )
 from fedad.channel import build_dataset, received_from_features
@@ -36,7 +34,6 @@ def make_problem(dictionary, observations, rho=1.0):
     return MmvProblem(
         dictionary=dictionary,
         observations=observations,
-        column_ap=np.zeros(observations.shape[1], dtype=int),
         rho=rho,
     )
 
@@ -97,28 +94,28 @@ class TestRowSoftThreshold:
 
 
 class TestLassoObjective:
+    # _objective takes the residual Y - S X alongside X.
     def test_zero_estimate(self):
         rng = np.random.default_rng(0)
         a = unit_column_dictionary(rng, 4, 6)
         y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        prob = make_problem(a, y)
+        x = np.zeros((6, 2), complex)
         expected = 0.5 * np.linalg.norm(y) ** 2
-        assert lasso_objective(prob, np.zeros((6, 2), complex), 0.7) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert _objective(y - a @ x, x, 0.7) == pytest.approx(expected, rel=1e-12)
 
     def test_exact_fit_no_penalty(self):
         rng = np.random.default_rng(1)
         a = unit_column_dictionary(rng, 5, 5)
         x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        prob = make_problem(a, a @ x)
-        assert lasso_objective(prob, x, 0.0) == pytest.approx(0.0, abs=1e-20)
+        y = a @ x
+        assert _objective(y - a @ x, x, 0.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_scalar_arithmetic(self):
-        prob = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
         x = np.array([[0.5 + 0j]])
         # 0.5 * (0.8 - 0.5)^2 + 0.3 * 0.5 = 0.045 + 0.15
-        assert lasso_objective(prob, x, 0.3) == pytest.approx(0.195, rel=1e-12)
+        assert _objective(np.array([[0.8 - 0.5 + 0j]]), x, 0.3) == pytest.approx(
+            0.195, rel=1e-12
+        )
 
 
 class TestIsta:
@@ -185,11 +182,6 @@ class TestFista:
         est = fista(prob, SolverConfig(lam=0.2, max_iters=500, tol=1e-15))
         closed = row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
-
-    def test_momentum_sequence_start(self):
-        seq = momentum_sequence(3)
-        assert seq[0] == 1.0
-        assert seq[1] == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
 
     def test_head_to_head_iterations(self):
         # On a seeded 40x100 instance FISTA reaches objective gap 1e-6 in
@@ -377,10 +369,9 @@ class TestBuildMmvProblem:
         received = np.stack(
             [received_from_features(ds.features[0, ap], 5, 2) for ap in range(3)]
         )
-        prob = build_mmv_problem(received, art.pilots, cfg.tx_power)
+        prob = next(mmv_problems(received[None], art.pilots, cfg.tx_power))
         assert prob.observations.shape == (5, 6)
         assert np.array_equal(prob.observations, np.concatenate(list(received), axis=1))
-        assert np.array_equal(prob.column_ap, [0, 0, 1, 1, 2, 2])
         assert np.allclose(np.linalg.norm(prob.dictionary, axis=0), 2.0, atol=1e-9)
 
     def test_batch_shares_one_dictionary(self):
@@ -410,7 +401,6 @@ class TestBuildMmvProblem:
                 fields = dict(
                     dictionary=(target + sign * fraction * tol) * a,
                     observations=np.zeros((4, 2), complex),
-                    column_ap=np.zeros(2, dtype=int),
                     rho=rho,
                 )
                 if accepted:
@@ -426,7 +416,6 @@ class TestBuildMmvProblem:
             MmvProblem(
                 dictionary=2.0 * a,
                 observations=np.zeros((4, 2), complex),
-                column_ap=np.zeros(2, dtype=int),
                 rho=1.0,
             )
 

@@ -195,7 +195,7 @@ class TestRunExperiment:
         # event on its own, with the step size from that event's problem.
         import dataclasses
 
-        from fedad.baselines import amp, build_mmv_problem, colocate, default_lambda, fista, ista
+        from fedad.baselines import amp, colocate, default_lambda, fista, ista, mmv_problems
         from fedad.channel import build_dataset, received_from_features
         from fedad.rng import substream
         from fedad.scenario import build_scenario
@@ -230,7 +230,7 @@ class TestRunExperiment:
                     received_from_features(events.features[i, ap], sc.pilot_len, sc.antennas_per_ap)
                     for ap in range(sc.num_aps)
                 ])
-                problem = build_mmv_problem(received, artifacts.pilots, sc.tx_power)
+                problem = next(mmv_problems(received[None], artifacts.pilots, sc.tx_power))
                 expected.append(solve(problem, solver).activity_stat)
             assert np.any(results[name].trials.scores > 0)
             assert np.array_equal(results[name].trials.scores, np.concatenate(expected))
@@ -264,14 +264,40 @@ class TestMainEntry:
             ({"scenario": {"num_aps": True}}, "scenario: num_aps: must be an integer, got true"),
             ({"solver": {"tol": "x"}}, 'solver: tol: must be a number, got "x"'),
             ({"solver": {"lam": 0.5}}, "solver: unknown key 'lam'"),
+            ({"scenario": {"hidden_layers": 1}}, "scenario: unknown key 'hidden_layers'"),
         ],
         ids=["top level", "scenario", "federation", "solver", "emit",
-             "float int", "bool int", "string float", "lam alias"],
+             "float int", "bool int", "string float", "lam alias", "hidden_layers"],
     )
     def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
         path = self._write(tmp_path, data)
         assert main(["validate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "template, where",
+        [('{"solver": {"tol": %s}}', "solver: tol"),
+         ('{"lambda_scale": %s}', "top level: lambda_scale")],
+        ids=["tol", "lambda_scale"],
+    )
+    def test_validate_rejects_non_finite_numbers(self, tmp_path, capsys, number, template, where):
+        # Python's json module reads these bare words as float values.
+        path = tmp_path / "config.json"
+        path.write_text(template % number)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{where}: must be a finite number, got {number}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
+         ("local_lr", -1), ("local_lr", 0), ("server_lr", 0.0),
+         ("adam_eps", 0.0), ("server_eps", -1e-8)],
+    )
+    def test_validate_rejects_bad_adam_settings(self, tmp_path, capsys, key, value):
+        path = self._write(tmp_path, {"federation": {key: value}})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"federation: {key}: must" in capsys.readouterr().err
 
     def test_scenario_failure_names_the_stage(self, tmp_path, capsys, monkeypatch):
         def broken(config):
@@ -282,6 +308,17 @@ class TestMainEntry:
         path = self._write(tmp_path, data)
         assert main(["run", "--config", str(path)]) == 3
         assert "stage failed: scenario generation: no geometry" in capsys.readouterr().err
+
+    def test_non_finite_scores_fail_the_detector_stage(self, tmp_path, capsys, monkeypatch):
+        def nan_scores(params, dataset, beta, cluster_size):
+            return np.full(dataset.labels.shape, np.nan)
+
+        monkeypatch.setattr("fedad.cli.score_events", nan_scores)
+        data = {**SMOKE, "output_dir": str(tmp_path / "results")}
+        path = self._write(tmp_path, data)
+        assert main(["run", "--config", str(path)]) == 3
+        assert "stage failed: detector fl: scores are not all finite" in capsys.readouterr().err
+        assert not (tmp_path / "results" / "summary.json").exists()
 
     def test_macs_prints_per_ap_count(self, tmp_path, capsys):
         path = self._write(tmp_path, {})  # full-scale defaults
@@ -326,3 +363,18 @@ def test_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_validate_under_cprofile(tmp_path):
+    # `python -m cProfile -m fedad.cli` runs the cli as __main__ while
+    # sys.modules["__main__"] stays cProfile's own module; the codec must
+    # still resolve its section types.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMOKE))
+    env = {**os.environ, "PYTHONPATH": str(Path(fedad.__file__).resolve().parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "fedad.cli", "validate", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "config ok" in result.stdout

@@ -7,7 +7,6 @@ from fedad.evaluation import (
     MacCount,
     ScoredTrials,
     auc_rank_oracle,
-    confusion,
     mac_count_amp,
     mac_count_slp,
     roc_curve,
@@ -21,26 +20,6 @@ def trials(scores, truths, tag="t"):
         truths=np.asarray(truths, dtype=np.int8),
         detector_tag=tag,
     )
-
-
-class TestConfusion:
-    def test_perfect(self):
-        t = np.array([1, 0, 1, 1, 0])
-        assert confusion(t, t) == (3, 0, 2, 0)
-
-    def test_complement(self):
-        t = np.array([1, 0, 1, 0])
-        tp, fp, tn, fn = confusion(1 - t, t)
-        assert tp == 0 and tn == 0 and fp == 2 and fn == 2
-
-    def test_enumerated_case(self):
-        truth = np.array([1, 0, 1, 0])
-        est = np.array([1, 1, 0, 0])
-        assert confusion(est, truth) == (1, 1, 1, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion(np.zeros(3), np.zeros(4))
 
 
 class TestRocCurve:
@@ -122,18 +101,6 @@ class TestAucRankOracle:
         auc = roc_curve(t).auc
         assert 0.0 <= auc <= 1.0
         assert abs(auc - auc_rank_oracle(t)) < 1e-9
-
-
-class TestPoolingInvariance:
-    def test_confusion_pools_additively(self):
-        rng = np.random.default_rng(3)
-        s1, t1 = rng.random(50), rng.integers(0, 2, 50)
-        s2, t2 = rng.random(70), rng.integers(0, 2, 70)
-        theta = 0.5
-        c1 = confusion(s1 >= theta, t1)
-        c2 = confusion(s2 >= theta, t2)
-        pooled = confusion(np.concatenate([s1, s2]) >= theta, np.concatenate([t1, t2]))
-        assert pooled == tuple(a + b for a, b in zip(c1, c2))
 
 
 class TestMacCounts:

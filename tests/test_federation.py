@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fuse_cluster_scores
 
 from fedad.channel import build_dataset, fit_feature_scaler
 from fedad.federation import (
@@ -13,12 +14,10 @@ from fedad.federation import (
     deserialize_update,
     heldout_bce,
     local_train,
-    fuse_cluster_scores,
     run_training,
     score_events,
     serialize_update,
     server_step,
-    threshold_detect,
     update_schema,
 )
 from fedad.rng import substream
@@ -34,7 +33,7 @@ def scalar_params(value: float) -> SlpParams:
 
 
 def params_equal(a: SlpParams, b: SlpParams) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a.leaves(), b.leaves()))
+    return np.array_equal(a.flat, b.flat)
 
 
 @pytest.fixture
@@ -142,8 +141,7 @@ class TestAggregate:
             for u in base
         ]
         out = aggregate(scaled)
-        for x, y in zip(out.leaves(), reference.leaves()):
-            assert np.allclose(x, y, rtol=1e-14, atol=0)
+        assert np.allclose(out.flat, reference.flat, rtol=1e-14, atol=0)
 
     def test_zero_weights_rejected(self):
         updates = [LocalUpdate(params=scalar_params(1.0), weight=0.0, ap_index=0)]
@@ -234,17 +232,6 @@ class TestPonderate:
         assert np.allclose(others, np.delete(base, dev), rtol=0, atol=0)
 
 
-class TestThresholdDetect:
-    def test_basic(self):
-        assert threshold_detect(np.array([0.7]), 0.5)[0] == 1
-
-    def test_zero_threshold_all_ones(self):
-        assert threshold_detect(np.array([0.0, 0.3, 1.0]), 0.0).all()
-
-    def test_above_one_all_zeros(self):
-        assert not threshold_detect(np.array([0.0, 0.5, 1.0]), 1.0001).any()
-
-
 class TestRunTraining:
     def test_zero_epochs_zero_learning(self, small_config, small_artifacts):
         fed = FederationConfig(
@@ -308,7 +295,7 @@ class TestRunTraining:
             weight_mode="beta_sum",
         )
         params, _, _ = run_training(small_artifacts, fed, substream(7, "fed"))
-        assert all(np.all(np.isfinite(leaf)) for leaf in params.leaves())
+        assert np.all(np.isfinite(params.flat))
 
 
 class TestUpdateWire:
@@ -336,8 +323,9 @@ class TestUpdateWire:
         update = self._update(small_config)
         v, f, k = update.params.dims
         header = struct.pack("<4sIIIdIII", b"ADUP", 1, 5, 3, 12.0, v, f, k)
+        p = update.params
         expected = header + b"".join(
-            leaf.astype("<f8").tobytes(order="C") for leaf in update.params.leaves()
+            layer.astype("<f8").tobytes(order="C") for layer in (p.w1, p.b1, p.w2, p.b2)
         )
         assert serialize_update(update, 5) == expected
 

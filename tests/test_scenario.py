@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from fedad.scenario import (
     generate_pilots,
     large_scale_fading,
     sample_activity,
-    with_overrides,
 )
 
 
@@ -37,7 +38,7 @@ class TestConfigInvariants:
             {"activation_prob": 1.5},
             {"activation_prob": -0.1},
             {"cluster_size": 30, "num_aps": 20},
-            {"hidden_layers": 2},
+            {"hidden_units": 0},
             {"tx_power": 0.0},
             {"noise_var": -1.0},
             {"area_side_km": 0.0},
@@ -186,5 +187,6 @@ class TestBuildScenario:
         assert np.all(np.isfinite(small_artifacts.beta))
 
     def test_with_overrides_validates(self, small_config):
+        # dataclasses.replace builds a new config, so __post_init__ runs.
         with pytest.raises(ValueError):
-            with_overrides(small_config, cluster_size=small_config.num_aps + 1)
+            replace(small_config, cluster_size=small_config.num_aps + 1)

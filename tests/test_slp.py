@@ -79,8 +79,7 @@ class TestInit:
         cfg = tiny_config()
         a = init_params(cfg, substream(4, "init"))
         b = init_params(cfg, substream(4, "init"))
-        for la, lb in zip(a.leaves(), b.leaves()):
-            assert np.array_equal(la, lb)
+        assert np.array_equal(a.flat, b.flat)
 
 
 class TestForward:
@@ -165,8 +164,7 @@ class TestBackward:
         params, x, labels = random_well_conditioned_instance(rng, 3, 2, 4)
         single = backward(params, x, labels)
         batch = backward(params, np.tile(x, (4, 1)), np.tile(labels, (4, 1)))
-        for s, b in zip(single.leaves(), batch.leaves()):
-            assert np.allclose(s, b, rtol=1e-12)
+        assert np.allclose(single.flat, batch.flat, rtol=1e-12)
 
 
 class TestAdam:
@@ -193,9 +191,9 @@ class TestAdam:
     def test_deterministic_trajectories(self):
         cfg = tiny_config()
         rng = np.random.default_rng(0)
+        p0 = init_params(cfg, substream(0, "init"))
         grads_seq = [
-            SlpParams(*(rng.normal(size=leaf.shape) for leaf in
-                        init_params(cfg, substream(0, "init")).leaves()))
+            SlpParams(*(rng.normal(size=leaf.shape) for leaf in (p0.w1, p0.b1, p0.w2, p0.b2)))
             for _ in range(5)
         ]
 
@@ -207,8 +205,7 @@ class TestAdam:
             return p
 
         a, b = run(), run()
-        for la, lb in zip(a.leaves(), b.leaves()):
-            assert np.array_equal(la, lb)
+        assert np.array_equal(a.flat, b.flat)
 
 
     def test_in_place_step_matches_leafwise_oracle(self):
@@ -221,7 +218,7 @@ class TestAdam:
         rng = np.random.default_rng(8)
         p = init_params(cfg, substream(8, "init"))
         state = init_adam(p, lr=0.02, beta1=0.9, beta2=0.999, epsilon=1e-8)
-        leaves = [leaf.copy() for leaf in p.leaves()]
+        leaves = [leaf.copy() for leaf in (p.w1, p.b1, p.w2, p.b2)]
         first = [np.zeros_like(leaf) for leaf in leaves]
         second = [np.zeros_like(leaf) for leaf in leaves]
         for step in range(1, 41):
@@ -229,7 +226,8 @@ class TestAdam:
             grads = p.like(rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 1))
             p, state = adam_step(p, grads, state)
             leaves, first, second = leafwise_adam_step(
-                leaves, grads.leaves(), first, second, step, 0.02, 0.9, 0.999, 1e-8
+                leaves, (grads.w1, grads.b1, grads.w2, grads.b2), first, second,
+                step, 0.02, 0.9, 0.999, 1e-8,
             )
             assert np.array_equal(p.flat, np.concatenate([x.ravel() for x in leaves]))
             assert np.array_equal(state.first_moment, np.concatenate([x.ravel() for x in first]))
@@ -265,9 +263,10 @@ class TestVectorRoundTrip:
         cfg = tiny_config()
         p = init_params(cfg, substream(2, "init"))
         vec = p.flat.copy()
-        assert np.array_equal(vec, np.concatenate([leaf.ravel() for leaf in p.leaves()]))
+        layers = (p.w1, p.b1, p.w2, p.b2)
+        assert np.array_equal(vec, np.concatenate([layer.ravel() for layer in layers]))
         back = SlpParams.from_flat(vec, p.dims)
-        for a, b in zip(p.leaves(), back.leaves()):
+        for a, b in zip(layers, (back.w1, back.b1, back.w2, back.b2)):
             assert np.array_equal(a, b)
         # The layers are views: writing one writes the flat vector.
         back.b2[0] = 7.0
