@@ -53,11 +53,14 @@ class MmvProblem:
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    lam: row-group regularization weight (ISTA/FISTA); None means the
-        runner fills in the universal-threshold default.
-    step_size: None selects 1 / ||S||_2^2.
-    amp_alpha: threshold multiplier; None derives it from the activity
-        prior via the minimax soft-threshold tuning curve.
+    lam: row-group regularization weight (ISTA/FISTA).
+    step_size: proximal-gradient step; None selects 1 / ||S||_2^2.
+    amp_alpha: AMP threshold multiplier.
+
+    None in any of the three stands for the experiment's default, which
+    resolve_solver fills in. Given a None, ista and fista take the
+    problem's own 1 / ||S||_2^2 step and refuse a missing lam; amp
+    refuses a missing amp_alpha.
     """
 
     lam: float | None = None
@@ -109,15 +112,14 @@ def mmv_problems(
         )
 
 
-def default_lambda(config: ScenarioConfig, n_total: int, scale: float = 1.0) -> float:
+def default_lambda(config: ScenarioConfig) -> float:
     """Universal-threshold default, scaled to the dictionary's column norm:
-    scale * sigma * sqrt(2 ln K) * sqrt(N_total) * sqrt(rho)."""
+    sigma * sqrt(2 ln K) * sqrt(N_total) * sqrt(rho), N_total = M * N."""
     sigma = np.sqrt(config.noise_var)
     return float(
-        scale
-        * sigma
+        sigma
         * np.sqrt(2.0 * np.log(config.num_devices))
-        * np.sqrt(n_total)
+        * np.sqrt(config.num_aps * config.antennas_per_ap)
         * np.sqrt(config.tx_power)
     )
 
@@ -168,6 +170,22 @@ def _row_energies(x_hat: np.ndarray) -> np.ndarray:
 def default_step_size(dictionary: np.ndarray) -> float:
     """1 / ||S||_2^2, the reciprocal Lipschitz constant of the LASSO gradient."""
     return 1.0 / float(np.linalg.norm(dictionary, 2) ** 2)
+
+
+def resolve_solver(solver: SolverConfig, artifacts: ScenarioArtifacts) -> SolverConfig:
+    """The experiment's solver settings: each None among lam, step_size and
+    amp_alpha becomes its default (default_lambda, 1 / ||S||_2^2 of the
+    shared dictionary S = sqrt(tx_power) * pilots, and the minimax
+    threshold for activation_prob); set values pass through."""
+    cfg = artifacts.config
+    if solver.lam is None:
+        solver = replace(solver, lam=default_lambda(cfg))
+    if solver.step_size is None:
+        dictionary = np.sqrt(cfg.tx_power) * artifacts.pilots
+        solver = replace(solver, step_size=default_step_size(dictionary))
+    if solver.amp_alpha is None:
+        solver = replace(solver, amp_alpha=minimax_threshold_scale(cfg.activation_prob))
+    return solver
 
 
 def _require_lam(solver: SolverConfig) -> float:
@@ -285,9 +303,7 @@ def minimax_threshold_scale(epsilon: float) -> float:
             hi = mid
 
 
-def amp(
-    problem: MmvProblem, solver: SolverConfig, epsilon_prior: float | None = None
-) -> SparseEstimate:
+def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     """Approximate message passing with a row soft-threshold denoiser and
     the Onsager residual correction.
 
@@ -302,9 +318,7 @@ def amp(
     ell = a.shape[0]
     alpha = solver.amp_alpha
     if alpha is None:
-        if epsilon_prior is None:
-            raise ValueError("amp_alpha unset: an epsilon_prior is required")
-        alpha = minimax_threshold_scale(epsilon_prior)
+        raise ValueError("solver.amp_alpha is unset; resolve it (e.g. resolve_solver) first")
 
     a_h = a.conj().T
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)

@@ -30,16 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    SolverConfig,
-    amp,
-    colocate,
-    default_lambda,
-    default_step_size,
-    fista,
-    ista,
-    mmv_problems,
-)
+from .baselines import SolverConfig, colocate, mmv_problems, resolve_solver
+from .baselines import amp, fista, ista  # noqa: F401  (run by name in _baseline_detect)
 from .channel import apply_feature_scaler, build_dataset, received_from_features
 from .evaluation import MacCount, RocCurve, ScoredTrials, mac_count_amp, mac_count_slp, roc_curve
 from .federation import (
@@ -76,7 +68,6 @@ class ExperimentConfig:
     eval_trials: int = 1000
     output_dir: str = "results"
     emit: tuple[str, ...] = ("roc_csv", "summary_json")
-    lambda_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.detectors:
@@ -84,6 +75,8 @@ class ExperimentConfig:
         for d in self.detectors:
             if d not in ALL_DETECTORS:
                 raise ConfigError(f"detectors: unknown detector {d!r}")
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ConfigError(f"detectors: each may appear once, got {list(self.detectors)}")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture: must be one of {ARCHITECTURES}")
         if self.eval_trials < 1:
@@ -91,8 +84,6 @@ class ExperimentConfig:
         for e in self.emit:
             if e not in ALL_EMIT:
                 raise ConfigError(f"emit: unknown output kind {e!r}")
-        if self.lambda_scale < 0:
-            raise ConfigError(f"lambda_scale: must be >= 0, got {self.lambda_scale}")
 
 
 @dataclass
@@ -214,21 +205,6 @@ def _version_string() -> str:
     return f"fedad-{__version__}"
 
 
-def _resolve_solver(config: ExperimentConfig, artifacts: ScenarioArtifacts) -> SolverConfig:
-    """Fill in the experiment-wide lam and step size: every event shares
-    the dictionary sqrt(tx_power) * pilots."""
-    solver = config.solver
-    scenario = artifacts.config
-    if solver.lam is None:
-        n_total = scenario.num_aps * scenario.antennas_per_ap
-        lam = default_lambda(scenario, n_total, config.lambda_scale)
-        solver = dataclasses.replace(solver, lam=lam)
-    if solver.step_size is None:
-        dictionary = np.sqrt(scenario.tx_power) * artifacts.pilots
-        solver = dataclasses.replace(solver, step_size=default_step_size(dictionary))
-    return solver
-
-
 def _fl_detect(
     config: ExperimentConfig, artifacts: ScenarioArtifacts, events, seed: int
 ) -> tuple[ScoredTrials, list[float], bytes]:
@@ -250,25 +226,20 @@ def _fl_detect(
 
 
 def _baseline_detect(
-    detector: str, config: ExperimentConfig, artifacts: ScenarioArtifacts, events
+    detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events
 ) -> tuple[ScoredTrials, int]:
-    """Per-event centralized MMV solve; the detection statistic is the
-    recovered row energy."""
+    """Per-event centralized MMV solve with the baseline function named
+    `detector` (ista, fista or amp) under resolved settings; the detection
+    statistic is the recovered row energy."""
     cfg = artifacts.config
-    solver = _resolve_solver(config, artifacts)
-    n_events = events.n_samples
+    # Looked up at call time, so that whatever the module name is bound to
+    # then (a tracing wrapper, say) is what runs.
+    solve = globals()[detector]
     received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
-    stats = np.empty((n_events, cfg.num_devices))
+    stats = np.empty((events.n_samples, cfg.num_devices))
     iters_used = 0
     for i, problem in enumerate(mmv_problems(received, artifacts.pilots, cfg.tx_power)):
-        if detector == "ista":
-            est = ista(problem, solver)
-        elif detector == "fista":
-            est = fista(problem, solver)
-        elif detector == "amp":
-            est = amp(problem, solver, epsilon_prior=cfg.activation_prob)
-        else:
-            raise ValueError(f"unknown baseline {detector!r}")
+        est = solve(problem, solver)
         stats[i] = est.activity_stat
         iters_used = max(iters_used, est.iterations_used)
     trials = ScoredTrials(
@@ -305,7 +276,8 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
                 macs4 = macs1
                 iters = config.federation.rounds
             else:
-                trials, iters = _baseline_detect(detector, config, artifacts, events)
+                solver = resolve_solver(config.solver, artifacts)
+                trials, iters = _baseline_detect(detector, solver, artifacts, events)
                 macs1 = mac_count_amp(cfg, iters, complex_mac_real_ops=1)
                 macs4 = mac_count_amp(cfg, iters, complex_mac_real_ops=4)
             if not np.all(np.isfinite(trials.scores)):
@@ -402,9 +374,11 @@ def _mac_table(config: ExperimentConfig) -> str:
         ("fl_per_ap", str(slp.knobs["per_ap_macs"]), str(slp.knobs["per_ap_macs"]), "-"),
         ("fl_network", str(slp.macs), str(slp.macs), "-"),
     ]
+    solver = config.solver
     macs = {}
-    for detector in ("ista", "fista", "amp"):
-        iters = config.solver.amp_iters if detector == "amp" else config.solver.max_iters
+    for detector, iters in (
+        ("ista", solver.max_iters), ("fista", solver.max_iters), ("amp", solver.amp_iters)
+    ):
         macs[detector] = [
             mac_count_amp(cfg, iters, complex_mac_real_ops=ops).macs for ops in (1, 4)
         ]
@@ -467,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config)
         config = _apply_cli_overrides(config, args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a section rejecting a flag's value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

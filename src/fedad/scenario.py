@@ -73,6 +73,8 @@ class ScenarioConfig:
             )
         if self.shadow_std_db < 0:
             raise ValueError(f"shadow_std_db: must be >= 0, got {self.shadow_std_db}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed: must be >= 0, got {self.master_seed}")
 
     @property
     def feature_dim(self) -> int:

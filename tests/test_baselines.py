@@ -23,6 +23,7 @@ from fedad.baselines import (
     ista,
     minimax_threshold_scale,
     mmv_problems,
+    resolve_solver,
     row_soft_threshold,
 )
 from fedad.channel import build_dataset, received_from_features
@@ -301,9 +302,9 @@ class TestAmp:
         x = np.zeros((6, 2), complex)
         x[1] = [2.0, 2.0j]
         prob = make_problem(a, a @ x)
-        est = amp(prob, SolverConfig(lam=0.0, amp_alpha=None), epsilon_prior=0.1)
+        est = amp(prob, SolverConfig(lam=0.0, amp_alpha=minimax_threshold_scale(0.1)))
         assert int(np.argmax(est.activity_stat)) == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="amp_alpha"):
             amp(prob, SolverConfig(lam=0.0, amp_alpha=None))
 
     def test_minimax_scale_sane(self):
@@ -420,9 +421,40 @@ class TestBuildMmvProblem:
             )
 
     def test_default_lambda_formula(self):
-        cfg = ScenarioConfig(num_devices=100, noise_var=1.0, tx_power=1.0)
+        cfg = ScenarioConfig(
+            num_aps=20, antennas_per_ap=2, num_devices=100, noise_var=1.0, tx_power=1.0
+        )
         expected = np.sqrt(2 * np.log(100)) * np.sqrt(40)
-        assert default_lambda(cfg, 40) == pytest.approx(expected, rel=1e-12)
+        assert default_lambda(cfg) == pytest.approx(expected, rel=1e-12)
+
+
+class TestResolveSolver:
+    CONFIG = ScenarioConfig(
+        num_aps=3, antennas_per_ap=2, num_devices=12, pilot_len=6, cluster_size=1,
+        activation_prob=0.2, tx_power=4.0, noise_var=0.5, master_seed=3,
+    )
+
+    def test_nulls_take_their_formulas(self):
+        art = build_scenario(self.CONFIG)
+        solver = SolverConfig(lam=None, step_size=None, amp_alpha=None, max_iters=7)
+        got = resolve_solver(solver, art)
+        # sigma * sqrt(2 ln K) * sqrt(M N) * sqrt(P)
+        lam = np.sqrt(0.5) * np.sqrt(2 * np.log(12)) * np.sqrt(3 * 2) * np.sqrt(4.0)
+        assert got.lam == pytest.approx(lam, rel=1e-12)
+        # 1 / ||sqrt(P) pilots||_2^2, the largest eigenvalue of S^H S.
+        s = np.sqrt(4.0) * art.pilots
+        assert got.step_size == pytest.approx(1 / np.linalg.eigvalsh(s.conj().T @ s)[-1], rel=1e-10)
+        assert got.amp_alpha == minimax_threshold_scale(0.2)
+        assert (got.max_iters, got.tol, got.amp_iters) == (7, solver.tol, solver.amp_iters)
+        # The colocated array keeps all M N antennas, so lam is unchanged.
+        assert resolve_solver(solver, colocate(art)).lam == got.lam
+
+    def test_set_values_pass_through(self):
+        solver = SolverConfig(lam=0.3, step_size=0.01, amp_alpha=2.0, max_iters=7)
+        assert resolve_solver(solver, build_scenario(self.CONFIG)) == solver
+        solver = SolverConfig(lam=0.0, amp_alpha=0.0)
+        got = resolve_solver(solver, build_scenario(self.CONFIG))
+        assert (got.lam, got.amp_alpha) == (0.0, 0.0)
 
 
 class TestColocate:

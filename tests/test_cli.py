@@ -77,7 +77,6 @@ class TestParseConfig:
             "eval_trials": 7,
             "output_dir": "elsewhere",
             "emit": ["checkpoints"],
-            "lambda_scale": 2.0,
         })
         assert cfg.solver.lam == 0.25 and cfg.detectors == ("amp", "fl")
         assert cfg.emit == ("checkpoints",)
@@ -188,14 +187,28 @@ class TestRunExperiment:
         assert np.array_equal(scores, expected.ravel())
         assert not np.array_equal(scores, score_events(params, events, beta, cluster).ravel())
 
-    @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
-    def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch):
-        # The runner decodes all events at once and fills in lam and the
-        # step size once per experiment; scores must equal solving each
-        # event on its own, with the step size from that event's problem.
+    @pytest.mark.parametrize(
+        "arch, amp_alpha",
+        [pytest.param("cellfree", 1.5, id="cellfree"),
+         pytest.param("colocated", 1.5, id="colocated"),
+         pytest.param("cellfree", None, id="cellfree-amp_alpha_null")],
+    )
+    def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch, amp_alpha):
+        # The runner decodes all events at once and fills in lam, the step
+        # size and a null amp_alpha from the experiment's scenario; scores
+        # must equal solving each event on its own, with the step size from
+        # that event's problem.
         import dataclasses
 
-        from fedad.baselines import amp, colocate, default_lambda, fista, ista, mmv_problems
+        from fedad.baselines import (
+            amp,
+            colocate,
+            default_lambda,
+            fista,
+            ista,
+            minimax_threshold_scale,
+            mmv_problems,
+        )
         from fedad.channel import build_dataset, received_from_features
         from fedad.rng import substream
         from fedad.scenario import build_scenario
@@ -205,7 +218,7 @@ class TestRunExperiment:
                     "activation_prob": 0.3}
         cfg = smoke_config(
             tmp_path, scenario=scenario, detectors=["ista", "fista", "amp"],
-            eval_trials=3, architecture=arch,
+            eval_trials=3, architecture=arch, solver={"max_iters": 20, "amp_alpha": amp_alpha},
         )
         results = run_experiment(cfg).results
         artifacts = build_scenario(cfg.scenario)
@@ -215,15 +228,10 @@ class TestRunExperiment:
         events = build_dataset(
             sc, artifacts.beta, artifacts.pilots, cfg.eval_trials, substream(5, "eval-events")
         )
-        lam = default_lambda(sc, sc.num_aps * sc.antennas_per_ap, cfg.lambda_scale)
-        solver = dataclasses.replace(cfg.solver, lam=lam)
+        alpha = minimax_threshold_scale(sc.activation_prob) if amp_alpha is None else amp_alpha
+        solver = dataclasses.replace(cfg.solver, lam=default_lambda(sc), amp_alpha=alpha)
         assert solver.step_size is None
-        solvers = {
-            "ista": ista,
-            "fista": fista,
-            "amp": lambda p, s: amp(p, s, epsilon_prior=sc.activation_prob),
-        }
-        for name, solve in solvers.items():
+        for name, solve in {"ista": ista, "fista": fista, "amp": amp}.items():
             expected = []
             for i in range(cfg.eval_trials):
                 received = np.stack([
@@ -265,9 +273,11 @@ class TestMainEntry:
             ({"solver": {"tol": "x"}}, 'solver: tol: must be a number, got "x"'),
             ({"solver": {"lam": 0.5}}, "solver: unknown key 'lam'"),
             ({"scenario": {"hidden_layers": 1}}, "scenario: unknown key 'hidden_layers'"),
+            ({"lambda_scale": 1.0}, "top level: unknown key 'lambda_scale'"),
         ],
         ids=["top level", "scenario", "federation", "solver", "emit",
-             "float int", "bool int", "string float", "lam alias", "hidden_layers"],
+             "float int", "bool int", "string float", "lam alias", "hidden_layers",
+             "lambda_scale"],
     )
     def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
         path = self._write(tmp_path, data)
@@ -278,8 +288,8 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "template, where",
         [('{"solver": {"tol": %s}}', "solver: tol"),
-         ('{"lambda_scale": %s}', "top level: lambda_scale")],
-        ids=["tol", "lambda_scale"],
+         ('{"scenario": {"tx_power": %s}}', "scenario: tx_power")],
+        ids=["tol", "tx_power"],
     )
     def test_validate_rejects_non_finite_numbers(self, tmp_path, capsys, number, template, where):
         # Python's json module reads these bare words as float values.
@@ -348,6 +358,32 @@ class TestMainEntry:
     def test_run_bad_detector_exit_2(self, tmp_path):
         path = self._write(tmp_path, SMOKE)
         assert main(["run", "--config", str(path), "--detectors", "nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "changes, flags, message",
+        [({"scenario": {**SMOKE["scenario"], "master_seed": -1}}, [],
+          "scenario: master_seed: must be >= 0, got -1"),
+         ({}, ["--seed", "-3"], "master_seed: must be >= 0, got -3"),
+         ({"detectors": ["fl", "fl"]}, [], "detectors: each may appear once"),
+         ({}, ["--detectors", "fl,fl"], "detectors: each may appear once")],
+        ids=["master_seed", "--seed", "detectors", "--detectors"],
+    )
+    def test_run_rejects_bad_values_before_running(self, tmp_path, capsys, changes, flags, message):
+        data = {**SMOKE, **changes, "output_dir": str(tmp_path / "results")}
+        path = self._write(tmp_path, data)
+        assert main(["run", "--config", str(path), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.name,
+)
+def test_shipped_configs_validate(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "config ok\n"
 
 
 def test_import_loads_no_scipy():
