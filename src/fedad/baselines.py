@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import substream
 from .scenario import Geometry, ScenarioArtifacts, ScenarioConfig, large_scale_fading
 
 
@@ -359,15 +358,9 @@ def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
         ap_positions=np.array([[center, center]]),
         device_positions=artifacts.geometry.device_positions,
     )
-    shadow_stream = (
-        substream(cfg.master_seed, "shadowing-colocated")
-        if cfg.shadow_std_db > 0
-        else None
-    )
-    beta = large_scale_fading(geometry, colocated_cfg, shadow_stream)
     return ScenarioArtifacts(
         config=colocated_cfg,
         geometry=geometry,
-        beta=beta,
+        beta=large_scale_fading(geometry, colocated_cfg),
         pilots=artifacts.pilots,
     )

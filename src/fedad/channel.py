@@ -113,17 +113,3 @@ def build_dataset(
         feat[i, :, 1] = y_t.imag
         labels[i] = activity
     return Dataset(features=feat.reshape(n_samples, m, config.feature_dim), labels=labels)
-
-
-def fit_feature_scaler(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-AP, per-feature mean and std over the given (training) set."""
-    mean = dataset.features.mean(axis=0)
-    std = dataset.features.std(axis=0)
-    return mean, np.maximum(std, 1e-12)
-
-
-def apply_feature_scaler(
-    dataset: Dataset, scaler: tuple[np.ndarray, np.ndarray]
-) -> Dataset:
-    mean, std = scaler
-    return Dataset(features=(dataset.features - mean) / std, labels=dataset.labels)

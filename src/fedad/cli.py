@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .baselines import SolverConfig, colocate, mmv_problems, resolve_solver
 from .baselines import amp, fista, ista  # noqa: F401  (run by name in _baseline_detect)
-from .channel import apply_feature_scaler, build_dataset, received_from_features
+from .channel import build_dataset, received_from_features
 from .evaluation import MacCount, RocCurve, ScoredTrials, mac_count_amp, mac_count_slp, roc_curve
 from .federation import (
     FederationConfig,
@@ -210,13 +210,10 @@ def _fl_detect(
 ) -> tuple[ScoredTrials, list[float], bytes]:
     """Train the federated detector, then score every evaluation event by
     clustered fusion of per-AP probabilities."""
-    params, history, scaler = run_training(
-        artifacts, config.federation, substream(seed, "federation")
-    )
-    data = events if scaler is None else apply_feature_scaler(events, scaler)
-    fused = score_events(params, data, artifacts.beta, artifacts.config.cluster_size)
+    params, history = run_training(artifacts, config.federation, substream(seed, "federation"))
+    fused = score_events(params, events, artifacts.beta, artifacts.config.cluster_size)
     trials = ScoredTrials(
-        scores=fused.ravel(), truths=data.labels.astype(np.int8).ravel(), detector_tag="fl"
+        scores=fused.ravel(), truths=events.labels.astype(np.int8).ravel(), detector_tag="fl"
     )
     checkpoint = serialize_update(
         LocalUpdate(params=params, weight=1.0, ap_index=0),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Dataset, apply_feature_scaler, build_dataset, fit_feature_scaler
+from .channel import Dataset, build_dataset
 from .scenario import ScenarioArtifacts
 from .slp import AdamState, SlpParams, adam_step, backward, bce_loss, forward, init_adam, init_params
 
@@ -49,7 +49,6 @@ class FederationConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    weight_mode: str = "shard_size"   # or "beta_sum"
     regenerate_each_round: bool = False
 
     def __post_init__(self) -> None:
@@ -66,8 +65,6 @@ class FederationConfig:
                 raise ValueError(f"{key}: must lie in [0, 1), got {getattr(self, key)}")
         if self.server_mode not in ("plain-average", "server-adam"):
             raise ValueError(f"server_mode: unknown mode {self.server_mode!r}")
-        if self.weight_mode not in ("shard_size", "beta_sum"):
-            raise ValueError(f"weight_mode: unknown mode {self.weight_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,13 @@ def local_train(
     global_params: SlpParams,
     features: np.ndarray,
     labels: np.ndarray,
-    epochs: int,
     fed: FederationConfig,
     ap_index: int,
     stream: np.random.Generator,
-    weight: float | None = None,
 ) -> LocalUpdate:
-    """Train a copy of the global model on one AP's shard.
-
-    epochs = 0 returns an unchanged copy of the global parameters. The weight
-    defaults to the shard size (classic federated averaging).
-    """
+    """Train a copy of the global model on one AP's shard for
+    fed.local_epochs epochs (0 returns an unchanged copy). The update is
+    weighted by the shard size, as in federated averaging."""
     if features.shape[0] == 0:
         raise ValueError(f"AP {ap_index}: cannot train on an empty shard")
     n = features.shape[0]
@@ -112,17 +105,13 @@ def local_train(
         params, lr=fed.local_lr, beta1=fed.adam_beta1, beta2=fed.adam_beta2,
         epsilon=fed.adam_eps,
     )
-    for _ in range(epochs):
+    for _ in range(fed.local_epochs):
         order = stream.permutation(n)
         for start in range(0, n, fed.batch_size):
             batch = order[start : start + fed.batch_size]
             grads = backward(params, features[batch], labels[batch])
             params, state = adam_step(params, grads, state)
-    return LocalUpdate(
-        params=params,
-        weight=float(n) if weight is None else float(weight),
-        ap_index=ap_index,
-    )
+    return LocalUpdate(params=params, weight=float(n), ap_index=ap_index)
 
 
 def aggregate(updates: list[LocalUpdate]) -> SlpParams:
@@ -201,15 +190,13 @@ def run_training(
     artifacts: ScenarioArtifacts,
     fed: FederationConfig,
     stream: np.random.Generator,
-) -> tuple[SlpParams, TrainingHistory, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[SlpParams, TrainingHistory]:
     """Full federated run: R rounds of broadcast, local training at all M
-    APs, weighted aggregation, and the server step. Per-AP shards are the
-    APs' own views of a single shared event set, generated once (or fresh
-    each round when regenerate_each_round is set).
+    APs, shard-size weighted aggregation, and the server step. Per-AP
+    shards are the APs' own views of a single shared event set, generated
+    once (or fresh each round when regenerate_each_round is set).
 
-    Returns the global model, the history, and the feature scaler the
-    model was trained under (None when features were used as given);
-    inputs to the model must go through the same scaler.
+    Returns the global model and the per-round history.
     """
     cfg = artifacts.config
     init_stream, data_stream, heldout_stream, shuffle_root = stream.spawn(4)
@@ -221,11 +208,6 @@ def run_training(
     heldout_data = build_dataset(
         cfg, artifacts.beta, artifacts.pilots, fed.eval_samples, heldout_stream
     )
-    scaler = None
-    if cfg.standardize_features:
-        scaler = fit_feature_scaler(train_data)
-        train_data = apply_feature_scaler(train_data, scaler)
-        heldout_data = apply_feature_scaler(heldout_data, scaler)
 
     m = cfg.num_aps
     shuffle_streams = shuffle_root.spawn(fed.rounds * m)
@@ -245,27 +227,16 @@ def run_training(
             train_data = build_dataset(
                 cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream
             )
-            if scaler is not None:
-                train_data = apply_feature_scaler(train_data, scaler)
-        updates = []
-        for ap in range(m):
-            feats, labels = train_data.shard(ap)
-            weight = None
-            if fed.weight_mode == "beta_sum":
-                weight = float(np.sum(artifacts.beta[ap]))
-            updates.append(
-                local_train(
-                    params, feats, labels, fed.local_epochs, fed, ap,
-                    shuffle_streams[rnd * m + ap], weight=weight,
-                )
-            )
-        aggregated = aggregate(updates)
+        aggregated = aggregate([
+            local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])
+            for ap in range(m)
+        ])
         params, server_state = server_step(params, aggregated, server_state, fed.server_mode)
         history.heldout_bce.append(
             heldout_bce(params, heldout_data, artifacts.beta, cfg.cluster_size)
         )
         history.round_seconds.append(time.perf_counter() - t0)
-    return params, history, scaler
+    return params, history
 
 
 def _cluster_members(beta: np.ndarray, cluster_size: int) -> np.ndarray:

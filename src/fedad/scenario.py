@@ -37,8 +37,6 @@ class ScenarioConfig:
     pathloss_intercept_db: float = -30.5
     pathloss_exponent: float = 36.7
     pathloss_floor_m: float = 10.0
-    shadow_std_db: float = 0.0
-    standardize_features: bool = False
 
     def __post_init__(self) -> None:
         counts = {
@@ -52,9 +50,9 @@ class ScenarioConfig:
         for key, value in counts.items():
             if value < 1:
                 raise ValueError(f"{key}: must be >= 1, got {value}")
-        if not 0.0 <= self.activation_prob <= 1.0:
+        if not 0.0 < self.activation_prob < 1.0:
             raise ValueError(
-                f"activation_prob: must lie in [0, 1], got {self.activation_prob}"
+                f"activation_prob: must lie in (0, 1), got {self.activation_prob}"
             )
         if self.cluster_size > self.num_aps:
             raise ValueError(
@@ -71,8 +69,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"pathloss_floor_m: must be > 0, got {self.pathloss_floor_m}"
             )
-        if self.shadow_std_db < 0:
-            raise ValueError(f"shadow_std_db: must be >= 0, got {self.shadow_std_db}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed: must be >= 0, got {self.master_seed}")
 
@@ -108,24 +104,13 @@ def generate_geometry(config: ScenarioConfig, stream: np.random.Generator) -> Ge
     return Geometry(ap_positions=ap_positions, device_positions=device_positions)
 
 
-def large_scale_fading(
-    geometry: Geometry,
-    config: ScenarioConfig,
-    stream: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Single-slope log-distance gains beta (M, K), distances floored at 10 m.
-
-    Lognormal shadowing is added only when ``shadow_std_db > 0``, in which
-    case a stream must be supplied.
-    """
+def large_scale_fading(geometry: Geometry, config: ScenarioConfig) -> np.ndarray:
+    """Single-slope log-distance gains beta (M, K), distances floored at
+    pathloss_floor_m; deterministic in the geometry (no shadowing)."""
     delta = geometry.ap_positions[:, None, :] - geometry.device_positions[None, :, :]
     dist_m = 1000.0 * np.sqrt(np.sum(delta**2, axis=-1))
     dist_m = np.maximum(dist_m, config.pathloss_floor_m)
     beta_db = config.pathloss_intercept_db - config.pathloss_exponent * np.log10(dist_m)
-    if config.shadow_std_db > 0.0:
-        if stream is None:
-            raise ValueError("shadow_std_db > 0 requires a random stream")
-        beta_db = beta_db + stream.normal(0.0, config.shadow_std_db, size=beta_db.shape)
     return 10.0 ** (beta_db / 10.0)
 
 
@@ -146,9 +131,6 @@ def sample_activity(config: ScenarioConfig, stream: np.random.Generator) -> np.n
 def build_scenario(config: ScenarioConfig) -> ScenarioArtifacts:
     """Generate the full static world from the config's master seed."""
     geometry = generate_geometry(config, substream(config.master_seed, "geometry"))
-    shadow_stream = (
-        substream(config.master_seed, "shadowing") if config.shadow_std_db > 0 else None
-    )
-    beta = large_scale_fading(geometry, config, shadow_stream)
+    beta = large_scale_fading(geometry, config)
     pilots = generate_pilots(config, substream(config.master_seed, "pilots"))
     return ScenarioArtifacts(config=config, geometry=geometry, beta=beta, pilots=pilots)

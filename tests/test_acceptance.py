@@ -212,7 +212,7 @@ def test_criterion_5_federation_algebra_and_privacy_shape():
     fed = FederationConfig(
         rounds=2, local_epochs=0, batch_size=4, train_samples=4, eval_samples=4
     )
-    params, _, _ = run_training(artifacts, fed, substream(0, "fed"))
+    params, _ = run_training(artifacts, fed, substream(0, "fed"))
     assert params_equal(params, init_params(cfg, substream(0, "fed").spawn(4)[0]))
 
     # Privacy shape at full network dimensions: the AP-to-CPU payload

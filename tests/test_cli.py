@@ -69,7 +69,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = config_from_dict({
-            "scenario": {"num_aps": 8, "cluster_size": 3, "standardize_features": True},
+            "scenario": {"num_aps": 8, "cluster_size": 3},
             "federation": {"rounds": 4, "server_mode": "plain-average"},
             "solver": {"lambda": 0.25, "max_iters": 50},
             "detectors": ["amp", "fl"],
@@ -163,30 +163,6 @@ class TestRunExperiment:
         assert rnd == cfg.federation.rounds
         assert update.params.w2.shape == (4, 8)
 
-
-    def test_standardized_fl_scores_use_the_training_scaler(self, tmp_path):
-        from fedad.channel import apply_feature_scaler, build_dataset
-        from fedad.federation import run_training, score_events
-        from fedad.rng import substream
-        from fedad.scenario import build_scenario
-
-        cfg = smoke_config(
-            tmp_path, eval_trials=6,
-            scenario={**SMOKE["scenario"], "standardize_features": True},
-        )
-        scores = run_experiment(cfg).results["fl"].trials.scores
-        artifacts = build_scenario(cfg.scenario)
-        params, _, scaler = run_training(artifacts, cfg.federation, substream(5, "federation"))
-        assert scaler is not None
-        events = build_dataset(
-            artifacts.config, artifacts.beta, artifacts.pilots, cfg.eval_trials,
-            substream(5, "eval-events"),
-        )
-        beta, cluster = artifacts.beta, cfg.scenario.cluster_size
-        expected = score_events(params, apply_feature_scaler(events, scaler), beta, cluster)
-        assert np.array_equal(scores, expected.ravel())
-        assert not np.array_equal(scores, score_events(params, events, beta, cluster).ravel())
-
     @pytest.mark.parametrize(
         "arch, amp_alpha",
         [pytest.param("cellfree", 1.5, id="cellfree"),
@@ -274,10 +250,18 @@ class TestMainEntry:
             ({"solver": {"lam": 0.5}}, "solver: unknown key 'lam'"),
             ({"scenario": {"hidden_layers": 1}}, "scenario: unknown key 'hidden_layers'"),
             ({"lambda_scale": 1.0}, "top level: unknown key 'lambda_scale'"),
+            ({"scenario": {"standardize_features": True}},
+             "scenario: unknown key 'standardize_features'"),
+            ({"scenario": {"shadow_std_db": 4.0}}, "scenario: unknown key 'shadow_std_db'"),
+            ({"federation": {"weight_mode": "beta_sum"}},
+             "federation: unknown key 'weight_mode'"),
+            ({"scenario": {"activation_prob": 0.0}},
+             "scenario: activation_prob: must lie in (0, 1), got 0.0"),
         ],
         ids=["top level", "scenario", "federation", "solver", "emit",
              "float int", "bool int", "string float", "lam alias", "hidden_layers",
-             "lambda_scale"],
+             "lambda_scale", "standardize_features", "shadow_std_db", "weight_mode",
+             "activation_prob"],
     )
     def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
         path = self._write(tmp_path, data)
@@ -337,6 +321,13 @@ class TestMainEntry:
         assert "133120" in out
         assert "2662400" in out
 
+    def test_macs_colocated_prints_one_ap(self, capsys):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+        assert main(["macs", "--config", str(desk), "--arch", "colocated"]) == 0
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        expected = "348160"  # one AP with all 8 * 2 antennas: (2 * 20 * 16) * 512 + 512 * 40
+        assert rows["fl_per_ap"] == rows["fl_network"] == [expected, expected, "-"]
+
     def test_run_smoke_exit_0(self, tmp_path, capsys):
         data = json.loads(json.dumps(SMOKE))
         data["output_dir"] = str(tmp_path / "results")
@@ -365,8 +356,13 @@ class TestMainEntry:
           "scenario: master_seed: must be >= 0, got -1"),
          ({}, ["--seed", "-3"], "master_seed: must be >= 0, got -3"),
          ({"detectors": ["fl", "fl"]}, [], "detectors: each may appear once"),
-         ({}, ["--detectors", "fl,fl"], "detectors: each may appear once")],
-        ids=["master_seed", "--seed", "detectors", "--detectors"],
+         ({}, ["--detectors", "fl,fl"], "detectors: each may appear once"),
+         ({"scenario": {**SMOKE["scenario"], "activation_prob": 0.0}}, [],
+          "scenario: activation_prob: must lie in (0, 1), got 0.0"),
+         ({"scenario": {**SMOKE["scenario"], "activation_prob": 1.0}}, ["--detectors", "ista"],
+          "scenario: activation_prob: must lie in (0, 1), got 1.0")],
+        ids=["master_seed", "--seed", "detectors", "--detectors",
+             "activation_prob-0", "activation_prob-1"],
     )
     def test_run_rejects_bad_values_before_running(self, tmp_path, capsys, changes, flags, message):
         data = {**SMOKE, **changes, "output_dir": str(tmp_path / "results")}
@@ -384,6 +380,22 @@ class TestMainEntry:
 def test_shipped_configs_validate(path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out == "config ok\n"
+
+
+def test_readme_config_table_matches_the_schema():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = set()
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("| ").split("|")]
+        if line.startswith("| ") and cells[0] in ("top", "scenario", "federation", "solver"):
+            documented.update((cells[0], key.strip()) for key in cells[1].split("/"))
+    schema = set()
+    for section, value in config_to_dict(config_from_dict({})).items():
+        if isinstance(value, dict):
+            schema.update((section, key) for key in value)
+        else:
+            schema.add(("top", section))
+    assert documented == schema
 
 
 def test_import_loads_no_scipy():

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fuse_cluster_scores
 
-from fedad.channel import build_dataset, fit_feature_scaler
+from fedad.channel import build_dataset
 from fedad.federation import (
     FederationConfig,
     LocalUpdate,
@@ -51,7 +52,8 @@ class TestLocalTrain:
         )
         params = init_params(small_config, substream(1, "init"))
         feats, labels = ds.shard(0)
-        update = local_train(params, feats, labels, 0, fed_small, 0, substream(2, "sh"))
+        fed = replace(fed_small, local_epochs=0)
+        update = local_train(params, feats, labels, fed, 0, substream(2, "sh"))
         assert params_equal(update.params, params)
         assert update.weight == 6.0
 
@@ -62,7 +64,7 @@ class TestLocalTrain:
         )
         params = init_params(small_config, substream(4, "init"))
         feats, labels = ds.shard(1)
-        update = local_train(params, feats, labels, 1, fed_small, 1, substream(5, "sh"))
+        update = local_train(params, feats, labels, fed_small, 1, substream(5, "sh"))
         # Manual replay: one epoch over one sample is one fwd/bwd/adam step.
         grads = backward(params, feats[[0]], labels[[0]])
         state = init_adam(
@@ -79,15 +81,16 @@ class TestLocalTrain:
         )
         params = init_params(small_config, substream(7, "init"))
         feats, labels = ds.shard(2)
-        u1 = local_train(params, feats, labels, 2, fed_small, 0, substream(8, "sh"))
-        u2 = local_train(params, feats, labels, 2, fed_small, 1, substream(8, "sh"))
+        fed = replace(fed_small, local_epochs=2)
+        u1 = local_train(params, feats, labels, fed, 0, substream(8, "sh"))
+        u2 = local_train(params, feats, labels, fed, 1, substream(8, "sh"))
         assert params_equal(u1.params, u2.params)
 
     def test_empty_shard_rejected(self, small_config, fed_small):
         params = init_params(small_config, substream(9, "init"))
         empty = np.empty((0, small_config.feature_dim))
         with pytest.raises(ValueError, match="empty"):
-            local_train(params, empty, np.empty((0, 10)), 1, fed_small, 0, substream(0, "sh"))
+            local_train(params, empty, np.empty((0, 10)), fed_small, 0, substream(0, "sh"))
 
 
 class TestAggregate:
@@ -237,7 +240,7 @@ class TestRunTraining:
         fed = FederationConfig(
             rounds=1, local_epochs=0, batch_size=4, train_samples=4, eval_samples=4
         )
-        params, history, _ = run_training(small_artifacts, fed, substream(0, "fed"))
+        params, history = run_training(small_artifacts, fed, substream(0, "fed"))
         reference = init_params(small_config, substream(0, "fed").spawn(4)[0])
         assert params_equal(params, reference)
         assert len(history.heldout_bce) == 1
@@ -246,8 +249,8 @@ class TestRunTraining:
         fed = FederationConfig(
             rounds=2, local_epochs=1, batch_size=4, train_samples=8, eval_samples=6
         )
-        p1, h1, _ = run_training(small_artifacts, fed, substream(5, "fed"))
-        p2, h2, _ = run_training(small_artifacts, fed, substream(5, "fed"))
+        p1, h1 = run_training(small_artifacts, fed, substream(5, "fed"))
+        p2, h2 = run_training(small_artifacts, fed, substream(5, "fed"))
         assert params_equal(p1, p2)
         assert h1.heldout_bce == h2.heldout_bce
 
@@ -255,7 +258,7 @@ class TestRunTraining:
         fed = FederationConfig(
             rounds=3, local_epochs=1, batch_size=4, train_samples=6, eval_samples=4
         )
-        _, history, _ = run_training(small_artifacts, fed, substream(6, "fed"))
+        _, history = run_training(small_artifacts, fed, substream(6, "fed"))
         assert len(history.heldout_bce) == 3
         assert len(history.round_seconds) == 3
 
@@ -270,32 +273,8 @@ class TestRunTraining:
             rounds=8, local_epochs=2, batch_size=16, train_samples=64,
             eval_samples=64, server_mode=mode,
         )
-        _, history, _ = run_training(artifacts, fed, substream(1, "fed"))
+        _, history = run_training(artifacts, fed, substream(1, "fed"))
         assert history.heldout_bce[-1] < history.heldout_bce[0]
-
-    def test_returns_the_training_scaler(self, small_config):
-        fed = FederationConfig(
-            rounds=1, local_epochs=1, batch_size=4, train_samples=8, eval_samples=4
-        )
-        _, _, none = run_training(build_scenario(small_config), fed, substream(3, "fed"))
-        assert none is None
-        cfg = ScenarioConfig(**{**small_config.__dict__, "standardize_features": True})
-        artifacts = build_scenario(cfg)
-        _, _, scaler = run_training(artifacts, fed, substream(3, "fed"))
-        train = build_dataset(
-            cfg, artifacts.beta, artifacts.pilots, fed.train_samples,
-            substream(3, "fed").spawn(4)[1],
-        )
-        for got, want in zip(scaler, fit_feature_scaler(train)):
-            assert np.array_equal(got, want)
-
-    def test_beta_sum_weight_mode(self, small_artifacts):
-        fed = FederationConfig(
-            rounds=1, local_epochs=1, batch_size=4, train_samples=6, eval_samples=4,
-            weight_mode="beta_sum",
-        )
-        params, _, _ = run_training(small_artifacts, fed, substream(7, "fed"))
-        assert np.all(np.isfinite(params.flat))
 
 
 class TestUpdateWire:
@@ -388,7 +367,8 @@ class TestInputsUntouched:
         params = self._random_params(small_config, "global")
         before = params.flat.tobytes()
         feats, labels = ds.shard(0)
-        update = local_train(params, feats, labels, 2, fed_small, 0, substream(22, "sh"))
+        fed = replace(fed_small, local_epochs=2)
+        update = local_train(params, feats, labels, fed, 0, substream(22, "sh"))
         assert params.flat.tobytes() == before
         assert update.params.flat.tobytes() != before
 
