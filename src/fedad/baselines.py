@@ -70,18 +70,19 @@ class SolverConfig:
     amp_alpha: float | None = 1.5
 
     def __post_init__(self) -> None:
+        # Messages name the JSON key, which for lam is "lambda".
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ValueError(f"max_iters: must be >= 1, got {self.max_iters}")
         if self.lam is not None and self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+            raise ValueError(f"lambda: must be >= 0, got {self.lam}")
         if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+            raise ValueError(f"tol: must be >= 0, got {self.tol}")
         if self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+            raise ValueError(f"step_size: must be > 0, got {self.step_size}")
         if self.amp_iters < 0:
-            raise ValueError(f"amp_iters must be >= 0, got {self.amp_iters}")
+            raise ValueError(f"amp_iters: must be >= 0, got {self.amp_iters}")
         if self.amp_alpha is not None and self.amp_alpha < 0:
-            raise ValueError(f"amp_alpha must be >= 0, got {self.amp_alpha}")
+            raise ValueError(f"amp_alpha: must be >= 0, got {self.amp_alpha}")
 
 
 @dataclass(frozen=True)
@@ -361,6 +362,6 @@ def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
     return ScenarioArtifacts(
         config=colocated_cfg,
         geometry=geometry,
-        beta=large_scale_fading(geometry, colocated_cfg),
+        beta=large_scale_fading(geometry),
         pilots=artifacts.pilots,
     )

@@ -171,13 +171,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _build_section(ExperimentConfig, data, "top level")
 
 
+def _unique_keys(pairs: list[tuple[str, typing.Any]]) -> dict:
+    """JSON object hook that rejects a key given twice, where json.loads
+    would silently keep the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     return config_from_dict(data)
@@ -212,9 +223,7 @@ def _fl_detect(
     clustered fusion of per-AP probabilities."""
     params, history = run_training(artifacts, config.federation, substream(seed, "federation"))
     fused = score_events(params, events, artifacts.beta, artifacts.config.cluster_size)
-    trials = ScoredTrials(
-        scores=fused.ravel(), truths=events.labels.astype(np.int8).ravel(), detector_tag="fl"
-    )
+    trials = ScoredTrials(scores=fused.ravel(), truths=events.labels.astype(np.int8).ravel())
     checkpoint = serialize_update(
         LocalUpdate(params=params, weight=1.0, ap_index=0),
         round_index=config.federation.rounds,
@@ -239,11 +248,7 @@ def _baseline_detect(
         est = solve(problem, solver)
         stats[i] = est.activity_stat
         iters_used = max(iters_used, est.iterations_used)
-    trials = ScoredTrials(
-        scores=stats.ravel(),
-        truths=events.labels.astype(np.int8).ravel(),
-        detector_tag=detector,
-    )
+    trials = ScoredTrials(scores=stats.ravel(), truths=events.labels.astype(np.int8).ravel())
     return trials, iters_used
 
 

@@ -22,7 +22,6 @@ class ScoredTrials:
 
     scores: np.ndarray
     truths: np.ndarray
-    detector_tag: str = ""
 
     def __post_init__(self) -> None:
         if self.scores.shape != self.truths.shape:

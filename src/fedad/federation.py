@@ -45,10 +45,6 @@ class FederationConfig:
     eval_samples: int = 256
     local_lr: float = 1e-3
     server_lr: float = 0.005
-    server_eps: float = 1e-8
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     regenerate_each_round: bool = False
 
     def __post_init__(self) -> None:
@@ -57,12 +53,9 @@ class FederationConfig:
                 raise ValueError(f"{key}: must be >= 1, got {getattr(self, key)}")
         if self.local_epochs < 0:
             raise ValueError(f"local_epochs: must be >= 0, got {self.local_epochs}")
-        for key in ("local_lr", "server_lr", "adam_eps", "server_eps"):
+        for key in ("local_lr", "server_lr"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key}: must be > 0, got {getattr(self, key)}")
-        for key in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key}: must lie in [0, 1), got {getattr(self, key)}")
         if self.server_mode not in ("plain-average", "server-adam"):
             raise ValueError(f"server_mode: unknown mode {self.server_mode!r}")
 
@@ -101,10 +94,7 @@ def local_train(
         raise ValueError(f"AP {ap_index}: cannot train on an empty shard")
     n = features.shape[0]
     params = global_params.copy()
-    state = init_adam(
-        params, lr=fed.local_lr, beta1=fed.adam_beta1, beta2=fed.adam_beta2,
-        epsilon=fed.adam_eps,
-    )
+    state = init_adam(params, lr=fed.local_lr)
     for _ in range(fed.local_epochs):
         order = stream.permutation(n)
         for start in range(0, n, fed.batch_size):
@@ -213,12 +203,7 @@ def run_training(
     shuffle_streams = shuffle_root.spawn(fed.rounds * m)
     server_state = None
     if fed.server_mode == "server-adam":
-        # server_eps is FedAdam's tau: raising it makes early steps
-        # proportional to the averaging delta instead of its sign.
-        server_state = init_adam(
-            params, lr=fed.server_lr, beta1=fed.adam_beta1, beta2=fed.adam_beta2,
-            epsilon=fed.server_eps,
-        )
+        server_state = init_adam(params, lr=fed.server_lr)
 
     history = TrainingHistory()
     for rnd in range(fed.rounds):

@@ -5,8 +5,14 @@ All powers are linear and expressed relative to the per-sample noise
 power, i.e. ``noise_var = 1.0`` means the AWGN has unit variance per
 complex pilot sample and ``tx_power`` is the transmit power on the same
 scale. The default ``tx_power = 1e11`` (110 dB above the noise floor)
-puts a device 100 m from an AP at roughly +6 dB post-despreading SNR
-under the default path-loss law.
+puts a device 100 m from an AP at roughly +6 dB post-despreading SNR.
+
+Large-scale fading follows one fixed law, the 3GPP urban-microcell
+single-slope model used by Bjornson & Sanguinetti ("Making Cell-Free
+Massive MIMO Competitive With MMSE Processing and Centralized
+Implementation", IEEE TWC 2020):
+beta_dB = PATHLOSS_INTERCEPT_DB - PATHLOSS_EXPONENT * log10(d_m), with
+d_m floored at PATHLOSS_FLOOR_M.
 """
 
 from __future__ import annotations
@@ -16,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
+
+PATHLOSS_INTERCEPT_DB = -30.5
+PATHLOSS_EXPONENT = 36.7
+PATHLOSS_FLOOR_M = 10.0
 
 
 @dataclass(frozen=True)
@@ -33,10 +43,6 @@ class ScenarioConfig:
     hidden_units: int = 512
     cluster_size: int = 4
     master_seed: int = 1
-    # Path-loss law: beta_dB = intercept - exponent * log10(d_m), d_m floored.
-    pathloss_intercept_db: float = -30.5
-    pathloss_exponent: float = 36.7
-    pathloss_floor_m: float = 10.0
 
     def __post_init__(self) -> None:
         counts = {
@@ -65,10 +71,6 @@ class ScenarioConfig:
             raise ValueError(f"noise_var: must be >= 0, got {self.noise_var}")
         if self.area_side_km <= 0:
             raise ValueError(f"area_side_km: must be > 0, got {self.area_side_km}")
-        if self.pathloss_floor_m <= 0:
-            raise ValueError(
-                f"pathloss_floor_m: must be > 0, got {self.pathloss_floor_m}"
-            )
         if self.master_seed < 0:
             raise ValueError(f"master_seed: must be >= 0, got {self.master_seed}")
 
@@ -104,13 +106,14 @@ def generate_geometry(config: ScenarioConfig, stream: np.random.Generator) -> Ge
     return Geometry(ap_positions=ap_positions, device_positions=device_positions)
 
 
-def large_scale_fading(geometry: Geometry, config: ScenarioConfig) -> np.ndarray:
-    """Single-slope log-distance gains beta (M, K), distances floored at
-    pathloss_floor_m; deterministic in the geometry (no shadowing)."""
+def large_scale_fading(geometry: Geometry) -> np.ndarray:
+    """Single-slope log-distance gains beta (M, K) under the module's
+    path-loss law, distances floored at PATHLOSS_FLOOR_M; deterministic
+    in the geometry (no shadowing)."""
     delta = geometry.ap_positions[:, None, :] - geometry.device_positions[None, :, :]
     dist_m = 1000.0 * np.sqrt(np.sum(delta**2, axis=-1))
-    dist_m = np.maximum(dist_m, config.pathloss_floor_m)
-    beta_db = config.pathloss_intercept_db - config.pathloss_exponent * np.log10(dist_m)
+    dist_m = np.maximum(dist_m, PATHLOSS_FLOOR_M)
+    beta_db = PATHLOSS_INTERCEPT_DB - PATHLOSS_EXPONENT * np.log10(dist_m)
     return 10.0 ** (beta_db / 10.0)
 
 
@@ -131,6 +134,6 @@ def sample_activity(config: ScenarioConfig, stream: np.random.Generator) -> np.n
 def build_scenario(config: ScenarioConfig) -> ScenarioArtifacts:
     """Generate the full static world from the config's master seed."""
     geometry = generate_geometry(config, substream(config.master_seed, "geometry"))
-    beta = large_scale_fading(geometry, config)
+    beta = large_scale_fading(geometry)
     pilots = generate_pilots(config, substream(config.master_seed, "pilots"))
     return ScenarioArtifacts(config=config, geometry=geometry, beta=beta, pilots=pilots)

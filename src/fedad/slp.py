@@ -7,7 +7,11 @@ probability per device. Everything is plain numpy. Parameters live in
 one flat vector (see SlpParams), so an Adam step is a handful of
 in-place vector operations: `adam_step` updates the parameters and the
 optimizer state it is given, while `forward` and `backward` never mutate
-their inputs.
+their inputs. Adam's moment decays and epsilon are the fixed constants
+ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, the standard values of Kingma & Ba
+(ICLR 2015) that FedAdam also uses on the server (Reddi et al.,
+"Adaptive Federated Optimization", ICLR 2021); only the learning rate
+is a setting.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import numpy as np
 from .scenario import ScenarioConfig
 
 PROB_CLAMP = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class SlpParams:
@@ -67,9 +74,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int
     lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
 
 
 def init_params(config: ScenarioConfig, stream: np.random.Generator) -> SlpParams:
@@ -85,21 +89,12 @@ def init_params(config: ScenarioConfig, stream: np.random.Generator) -> SlpParam
     )
 
 
-def init_adam(
-    params: SlpParams,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: SlpParams, lr: float = 1e-3) -> AdamState:
     return AdamState(
         first_moment=np.zeros_like(params.flat),
         second_moment=np.zeros_like(params.flat),
         step_count=0,
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -169,7 +164,7 @@ def adam_step(
     bit-identical to an out-of-place evaluation of it."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     g, m, v = grads.flat, state.first_moment, state.second_moment
     tmp = (1.0 - b1) * g
     m *= b1
@@ -182,7 +177,7 @@ def adam_step(
     tmp *= state.lr
     den = v / (1.0 - b2**t)
     np.sqrt(den, out=den)
-    den += state.epsilon
+    den += ADAM_EPS
     tmp /= den
     params.flat -= tmp
     return params, state

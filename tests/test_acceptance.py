@@ -153,13 +153,11 @@ def test_criterion_4_roc_correctness():
     rng = np.random.default_rng(40004)
     scores = rng.normal(size=1000)
     truths = (rng.random(1000) < 0.3).astype(np.int8)
-    pooled = ScoredTrials(scores=scores, truths=truths, detector_tag="check")
+    pooled = ScoredTrials(scores=scores, truths=truths)
     roc = roc_curve(pooled)
     assert abs(roc.auc - auc_rank_oracle(pooled)) < 1e-9
 
-    tied = ScoredTrials(
-        scores=rng.integers(0, 7, 1000).astype(float), truths=truths, detector_tag="t"
-    )
+    tied = ScoredTrials(scores=rng.integers(0, 7, 1000).astype(float), truths=truths)
     assert abs(roc_curve(tied).auc - auc_rank_oracle(tied)) < 1e-9
 
     order = np.lexsort((roc.tpr, roc.fpr))
@@ -168,12 +166,10 @@ def test_criterion_4_roc_correctness():
     perfect = ScoredTrials(
         scores=np.array([0.9, 0.8, 0.1, 0.2]),
         truths=np.array([1, 1, 0, 0], dtype=np.int8),
-        detector_tag="p",
     )
     assert roc_curve(perfect).auc == 1.0
     constant = ScoredTrials(
-        scores=np.full(6, 0.3), truths=np.array([1, 0, 1, 0, 0, 1], dtype=np.int8),
-        detector_tag="c",
+        scores=np.full(6, 0.3), truths=np.array([1, 0, 1, 0, 0, 1], dtype=np.int8)
     )
     assert roc_curve(constant).auc == 0.5
     _report(4, "trapezoid AUC equals rank oracle; staircase and endpoints exact")

@@ -257,11 +257,28 @@ class TestMainEntry:
              "federation: unknown key 'weight_mode'"),
             ({"scenario": {"activation_prob": 0.0}},
              "scenario: activation_prob: must lie in (0, 1), got 0.0"),
+            ({"scenario": {"pathloss_intercept_db": -30.5}},
+             "scenario: unknown key 'pathloss_intercept_db'"),
+            ({"scenario": {"pathloss_exponent": 36.7}},
+             "scenario: unknown key 'pathloss_exponent'"),
+            ({"scenario": {"pathloss_floor_m": 10.0}}, "scenario: unknown key 'pathloss_floor_m'"),
+            ({"federation": {"adam_beta1": 0.9}}, "federation: unknown key 'adam_beta1'"),
+            ({"federation": {"adam_beta2": 0.999}}, "federation: unknown key 'adam_beta2'"),
+            ({"federation": {"adam_eps": 1e-8}}, "federation: unknown key 'adam_eps'"),
+            ({"federation": {"server_eps": 1e-8}}, "federation: unknown key 'server_eps'"),
+            ({"solver": {"lambda": -1}}, "solver: lambda: must be >= 0, got -1"),
+            ({"solver": {"max_iters": 0}}, "solver: max_iters: must be >= 1, got 0"),
+            ({"solver": {"tol": -1e-3}}, "solver: tol: must be >= 0, got -0.001"),
+            ({"solver": {"step_size": 0.0}}, "solver: step_size: must be > 0, got 0.0"),
+            ({"solver": {"amp_iters": -1}}, "solver: amp_iters: must be >= 0, got -1"),
+            ({"solver": {"amp_alpha": -0.5}}, "solver: amp_alpha: must be >= 0, got -0.5"),
         ],
         ids=["top level", "scenario", "federation", "solver", "emit",
              "float int", "bool int", "string float", "lam alias", "hidden_layers",
              "lambda_scale", "standardize_features", "shadow_std_db", "weight_mode",
-             "activation_prob"],
+             "activation_prob", "pathloss_intercept_db", "pathloss_exponent",
+             "pathloss_floor_m", "adam_beta1", "adam_beta2", "adam_eps", "server_eps",
+             "lambda", "max_iters", "tol", "step_size", "amp_iters", "amp_alpha"],
     )
     def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
         path = self._write(tmp_path, data)
@@ -283,10 +300,21 @@ class TestMainEntry:
         assert f"{where}: must be a finite number, got {number}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, key",
+        [('{"eval_trials": 0, "eval_trials": 5}', "eval_trials"),
+         ('{"solver": {"tol": 1e-8, "max_iters": 9, "tol": 1e-6}}', "tol")],
+        ids=["top level", "solver"],
+    )
+    def test_validate_rejects_duplicate_keys(self, tmp_path, capsys, text, key):
+        # json.loads alone keeps the last value of a repeated key.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"duplicate key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "key, value",
-        [("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
-         ("local_lr", -1), ("local_lr", 0), ("server_lr", 0.0),
-         ("adam_eps", 0.0), ("server_eps", -1e-8)],
+        [("local_lr", -1), ("local_lr", 0), ("server_lr", 0.0)],
     )
     def test_validate_rejects_bad_adam_settings(self, tmp_path, capsys, key, value):
         path = self._write(tmp_path, {"federation": {key: value}})

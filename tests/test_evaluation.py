@@ -14,11 +14,10 @@ from fedad.evaluation import (
 from fedad.scenario import ScenarioConfig
 
 
-def trials(scores, truths, tag="t"):
+def trials(scores, truths):
     return ScoredTrials(
         scores=np.asarray(scores, dtype=float),
         truths=np.asarray(truths, dtype=np.int8),
-        detector_tag=tag,
     )
 
 

@@ -67,10 +67,7 @@ class TestLocalTrain:
         update = local_train(params, feats, labels, fed_small, 1, substream(5, "sh"))
         # Manual replay: one epoch over one sample is one fwd/bwd/adam step.
         grads = backward(params, feats[[0]], labels[[0]])
-        state = init_adam(
-            params, lr=fed_small.local_lr, beta1=fed_small.adam_beta1,
-            beta2=fed_small.adam_beta2, epsilon=fed_small.adam_eps,
-        )
+        state = init_adam(params, lr=fed_small.local_lr)
         manual, _ = adam_step(params, grads, state)
         assert params_equal(update.params, manual)
 

@@ -94,12 +94,11 @@ class TestLargeScaleFading:
     def _beta_at_distance(self, distance_km):
         from fedad.scenario import Geometry
 
-        cfg = ScenarioConfig(num_aps=1, num_devices=1, cluster_size=1)
         geo = Geometry(
             ap_positions=np.array([[0.0, 0.0]]),
             device_positions=np.array([[distance_km, 0.0]]),
         )
-        return large_scale_fading(geo, cfg)[0, 0]
+        return large_scale_fading(geo)[0, 0]
 
     def test_100m_value(self):
         expected_db = pathloss_db(100.0)

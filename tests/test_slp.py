@@ -217,7 +217,7 @@ class TestAdam:
         )
         rng = np.random.default_rng(8)
         p = init_params(cfg, substream(8, "init"))
-        state = init_adam(p, lr=0.02, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        state = init_adam(p, lr=0.02)
         leaves = [leaf.copy() for leaf in (p.w1, p.b1, p.w2, p.b2)]
         first = [np.zeros_like(leaf) for leaf in leaves]
         second = [np.zeros_like(leaf) for leaf in leaves]
