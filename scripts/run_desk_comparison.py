@@ -2,8 +2,10 @@
 """Desk-scale detector comparison: federated SLP vs ISTA/FISTA/AMP on the
 cell-free layout plus the colocated-array variant, with MAC costs.
 
-Writes plot-ready CSVs under results/desk/ and prints a summary table.
-Runs in a couple of minutes on a laptop.
+Writes the cell-free results under results/desk/ and the colocated FL
+run under results/desk_colocated/ (both relative to the working
+directory), and prints a summary table. Runs in a couple of minutes on a
+laptop.
 """
 
 import json
@@ -18,7 +20,8 @@ from fedad.cli import config_from_dict, emit_results, parse_config, run_experime
 
 
 def main() -> None:
-    config = parse_config(REPO / "configs" / "desk.json")
+    config_path = REPO / "configs" / "desk.json"
+    config = parse_config(config_path)
     t0 = time.time()
     print("running cell-free experiment (fl + baselines)...")
     cellfree = run_experiment(config)
@@ -26,9 +29,10 @@ def main() -> None:
 
     colocated_cfg = config_from_dict(
         {
-            **json.loads((REPO / "configs" / "desk.json").read_text()),
+            **json.loads(config_path.read_text()),
             "architecture": "colocated",
             "detectors": ["fl"],
+            "output_dir": f"{config.output_dir}_colocated",
         }
     )
     print("running colocated variant (fl)...")

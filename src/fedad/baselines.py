@@ -10,7 +10,6 @@ Activity is then read off the recovered row energies.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -56,10 +55,9 @@ class SolverConfig:
     step_size: proximal-gradient step; None selects 1 / ||S||_2^2.
     amp_alpha: AMP threshold multiplier.
 
-    None in any of the three stands for the experiment's default, which
+    None in lam or step_size stands for the experiment's default, which
     resolve_solver fills in. Given a None, ista and fista take the
-    problem's own 1 / ||S||_2^2 step and refuse a missing lam; amp
-    refuses a missing amp_alpha.
+    problem's own 1 / ||S||_2^2 step and refuse a missing lam.
     """
 
     lam: float | None = None
@@ -67,7 +65,7 @@ class SolverConfig:
     tol: float = 1e-8
     step_size: float | None = None
     amp_iters: int = 25
-    amp_alpha: float | None = 1.5
+    amp_alpha: float = 1.5
 
     def __post_init__(self) -> None:
         # Messages name the JSON key, which for lam is "lambda".
@@ -81,7 +79,7 @@ class SolverConfig:
             raise ValueError(f"step_size: must be > 0, got {self.step_size}")
         if self.amp_iters < 0:
             raise ValueError(f"amp_iters: must be >= 0, got {self.amp_iters}")
-        if self.amp_alpha is not None and self.amp_alpha < 0:
+        if self.amp_alpha < 0:
             raise ValueError(f"amp_alpha: must be >= 0, got {self.amp_alpha}")
 
 
@@ -173,18 +171,15 @@ def default_step_size(dictionary: np.ndarray) -> float:
 
 
 def resolve_solver(solver: SolverConfig, artifacts: ScenarioArtifacts) -> SolverConfig:
-    """The experiment's solver settings: each None among lam, step_size and
-    amp_alpha becomes its default (default_lambda, 1 / ||S||_2^2 of the
-    shared dictionary S = sqrt(tx_power) * pilots, and the minimax
-    threshold for activation_prob); set values pass through."""
+    """The experiment's solver settings: a None lam or step_size becomes
+    its default (default_lambda, and 1 / ||S||_2^2 of the shared
+    dictionary S = sqrt(tx_power) * pilots); set values pass through."""
     cfg = artifacts.config
     if solver.lam is None:
         solver = replace(solver, lam=default_lambda(cfg))
     if solver.step_size is None:
         dictionary = np.sqrt(cfg.tx_power) * artifacts.pilots
         solver = replace(solver, step_size=default_step_size(dictionary))
-    if solver.amp_alpha is None:
-        solver = replace(solver, amp_alpha=minimax_threshold_scale(cfg.activation_prob))
     return solver
 
 
@@ -272,37 +267,6 @@ def fista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     return _proximal_gradient(problem, solver, accelerate=True)
 
 
-def minimax_threshold_scale(epsilon: float) -> float:
-    """Minimax-optimal soft-threshold multiplier for a given active
-    fraction (Donoho, Maleki & Montanari, PNAS 2009): the minimiser on
-    [0, 6] of the state-evolution risk
-
-        eps (1 + a^2) + 2 (1 - eps) ((1 + a^2) Phi(-a) - a phi(a)).
-
-    Its second derivative 2 eps + 4 (1 - eps) Phi(-a) is positive, so the
-    minimiser is the one root of half the first derivative,
-    eps a + 2 (1 - eps) (a Phi(-a) - phi(a)), found here by bisection
-    (or the bound 6 when the derivative is still negative there).
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
-    def half_slope(a: float) -> float:
-        tail = 0.5 * math.erfc(a / math.sqrt(2.0))
-        density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-        return epsilon * a + 2.0 * (1.0 - epsilon) * (a * tail - density)
-
-    lo, hi = 0.0, 6.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if half_slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     """Approximate message passing with a row soft-threshold denoiser and
     the Onsager residual correction.
@@ -317,9 +281,6 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     y = problem.observations
     ell = a.shape[0]
     alpha = solver.amp_alpha
-    if alpha is None:
-        raise ValueError("solver.amp_alpha is unset; resolve it (e.g. resolve_solver) first")
-
     a_h = a.conj().T
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
     residual = y.copy()

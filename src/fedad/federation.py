@@ -135,20 +135,16 @@ def server_step(
     current_global: SlpParams,
     aggregated: SlpParams,
     server_state: AdamState | None,
-    mode: str,
 ) -> tuple[SlpParams, AdamState | None]:
     """CPU-side optimization step.
 
-    plain-average passes the aggregate through. server-adam treats
-    (current - aggregated) as a pseudo-gradient and applies one Adam step
-    to the current global model (FedOpt).
+    Without a server Adam state (plain-average) the aggregate passes
+    through. With one (server-adam), (current - aggregated) is a
+    pseudo-gradient for one Adam step on the current global model
+    (FedOpt, Reddi et al., ICLR 2021).
     """
-    if mode == "plain-average":
-        return aggregated, server_state
-    if mode != "server-adam":
-        raise ValueError(f"unknown server mode {mode!r}")
     if server_state is None:
-        raise ValueError("server-adam mode requires a server Adam state")
+        return aggregated, None
     pseudo_grad = current_global.like(current_global.flat - aggregated.flat)
     return adam_step(current_global.copy(), pseudo_grad, server_state)
 
@@ -216,7 +212,7 @@ def run_training(
             local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])
             for ap in range(m)
         ])
-        params, server_state = server_step(params, aggregated, server_state, fed.server_mode)
+        params, server_state = server_step(params, aggregated, server_state)
         history.heldout_bce.append(
             heldout_bce(params, heldout_data, artifacts.beta, cfg.cluster_size)
         )
@@ -242,30 +238,29 @@ def serialize_update(update: LocalUpdate, round_index: int) -> bytes:
 
 
 def deserialize_update(blob: bytes) -> tuple[int, LocalUpdate]:
+    """Unpack a version-1 blob; ValueError unless its body is exactly the
+    parameter vector its header's dimensions call for."""
     magic, version, round_index, ap_index, weight, v, f, k = _HEADER.unpack_from(blob, 0)
     if magic != _MAGIC:
         raise ValueError("not an AP update blob")
     if version != _WIRE_VERSION:
         raise ValueError(f"unsupported update version {version}")
-    count = sum(_field_sizes(v, f, k).values())
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER.size)
+    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     params = SlpParams.from_flat(flat.astype(np.float64), (v, f, k))
     return round_index, LocalUpdate(params=params, weight=weight, ap_index=ap_index)
 
 
-def _field_sizes(v: int, f: int, k: int) -> dict[str, int]:
-    return {"w1": v * f, "b1": v, "w2": k * v, "b2": k}
-
-
 def update_schema(blob: bytes) -> dict:
-    """Header fields and the element count of every array field, for
-    auditing what actually crosses the AP-to-CPU boundary."""
-    magic, version, round_index, ap_index, weight, v, f, k = _HEADER.unpack_from(blob, 0)
+    """Header fields and the element count of every array field of a
+    blob that deserializes, for auditing what actually crosses the
+    AP-to-CPU boundary."""
+    round_index, update = deserialize_update(blob)
+    params = update.params
     return {
-        "magic": magic.decode("ascii"),
-        "version": version,
+        "magic": _MAGIC.decode("ascii"),
+        "version": _WIRE_VERSION,
         "round": round_index,
-        "ap_index": ap_index,
-        "weight": weight,
-        "array_fields": _field_sizes(v, f, k),
+        "ap_index": update.ap_index,
+        "weight": update.weight,
+        "array_fields": {name: getattr(params, name).size for name in ("w1", "b1", "w2", "b2")},
     }

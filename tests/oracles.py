@@ -152,8 +152,7 @@ def fista_reference(problem, solver):
 
 def amp_reference(problem, solver):
     """AMP written out on its own, with norms from np.linalg.norm, the
-    adjoint formed every iteration and the residual norm taken twice;
-    `solver.amp_alpha` must be set."""
+    adjoint formed every iteration and the residual norm taken twice."""
     a = problem.dictionary / np.sqrt(problem.rho)
     y = problem.observations
     ell = a.shape[0]

@@ -21,7 +21,6 @@ from fedad.baselines import (
     default_lambda,
     fista,
     ista,
-    minimax_threshold_scale,
     mmv_problems,
     resolve_solver,
     row_soft_threshold,
@@ -296,47 +295,6 @@ class TestAmp:
         with pytest.raises(SolverDivergenceError):
             amp(prob, SolverConfig(lam=0.0))
 
-    def test_alpha_from_prior(self):
-        rng = np.random.default_rng(11)
-        a = unit_column_dictionary(rng, 6, 6)
-        x = np.zeros((6, 2), complex)
-        x[1] = [2.0, 2.0j]
-        prob = make_problem(a, a @ x)
-        est = amp(prob, SolverConfig(lam=0.0, amp_alpha=minimax_threshold_scale(0.1)))
-        assert int(np.argmax(est.activity_stat)) == 1
-        with pytest.raises(ValueError, match="amp_alpha"):
-            amp(prob, SolverConfig(lam=0.0, amp_alpha=None))
-
-    def test_minimax_scale_sane(self):
-        # Larger active fractions call for smaller thresholds.
-        a_sparse = minimax_threshold_scale(0.01)
-        a_dense = minimax_threshold_scale(0.3)
-        assert a_sparse > a_dense > 0.0
-
-    def test_minimax_scale_matches_bounded_minimiser(self):
-        # Against scipy's bounded scalar search on the same risk, and a
-        # stationary point to full precision, which that search (xatol
-        # 1e-5) is not.
-        optimize = pytest.importorskip("scipy.optimize")
-        norm = pytest.importorskip("scipy.stats").norm
-        for eps in np.geomspace(1e-4, 0.999, 25):
-            def risk(a, eps=eps):
-                tail = (1.0 + a**2) * norm.cdf(-a) - a * norm.pdf(a)
-                return eps * (1.0 + a**2) + (1.0 - eps) * 2.0 * tail
-
-            expected = optimize.minimize_scalar(risk, bounds=(0.0, 6.0), method="bounded").x
-            got = minimax_threshold_scale(eps)
-            assert got == pytest.approx(expected, abs=1e-5)
-            half_slope = eps * got + 2.0 * (1.0 - eps) * (got * norm.cdf(-got) - norm.pdf(got))
-            assert abs(half_slope) < 1e-12
-
-    def test_minimax_scale_domain(self):
-        for eps in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError, match="epsilon"):
-                minimax_threshold_scale(eps)
-        # Almost no active devices: the risk still falls at the bound.
-        assert minimax_threshold_scale(1e-12) == 6.0
-
 
 class TestStatisticSeparation:
     @pytest.mark.parametrize("solver_name", ["ista", "fista", "amp"])
@@ -436,7 +394,7 @@ class TestResolveSolver:
 
     def test_nulls_take_their_formulas(self):
         art = build_scenario(self.CONFIG)
-        solver = SolverConfig(lam=None, step_size=None, amp_alpha=None, max_iters=7)
+        solver = SolverConfig(lam=None, step_size=None, max_iters=7)
         got = resolve_solver(solver, art)
         # sigma * sqrt(2 ln K) * sqrt(M N) * sqrt(P)
         lam = np.sqrt(0.5) * np.sqrt(2 * np.log(12)) * np.sqrt(3 * 2) * np.sqrt(4.0)
@@ -444,7 +402,6 @@ class TestResolveSolver:
         # 1 / ||sqrt(P) pilots||_2^2, the largest eigenvalue of S^H S.
         s = np.sqrt(4.0) * art.pilots
         assert got.step_size == pytest.approx(1 / np.linalg.eigvalsh(s.conj().T @ s)[-1], rel=1e-10)
-        assert got.amp_alpha == minimax_threshold_scale(0.2)
         assert (got.max_iters, got.tol, got.amp_iters) == (7, solver.tol, solver.amp_iters)
         # The colocated array keeps all M N antennas, so lam is unchanged.
         assert resolve_solver(solver, colocate(art)).lam == got.lam

@@ -163,17 +163,12 @@ class TestRunExperiment:
         assert rnd == cfg.federation.rounds
         assert update.params.w2.shape == (4, 8)
 
-    @pytest.mark.parametrize(
-        "arch, amp_alpha",
-        [pytest.param("cellfree", 1.5, id="cellfree"),
-         pytest.param("colocated", 1.5, id="colocated"),
-         pytest.param("cellfree", None, id="cellfree-amp_alpha_null")],
-    )
-    def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch, amp_alpha):
-        # The runner decodes all events at once and fills in lam, the step
-        # size and a null amp_alpha from the experiment's scenario; scores
-        # must equal solving each event on its own, with the step size from
-        # that event's problem.
+    @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
+    def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch):
+        # The runner decodes all events at once and fills in lam and the
+        # step size from the experiment's scenario; scores must equal
+        # solving each event on its own, with the step size from that
+        # event's problem.
         import dataclasses
 
         from fedad.baselines import (
@@ -182,7 +177,6 @@ class TestRunExperiment:
             default_lambda,
             fista,
             ista,
-            minimax_threshold_scale,
             mmv_problems,
         )
         from fedad.channel import build_dataset, received_from_features
@@ -194,7 +188,7 @@ class TestRunExperiment:
                     "activation_prob": 0.3}
         cfg = smoke_config(
             tmp_path, scenario=scenario, detectors=["ista", "fista", "amp"],
-            eval_trials=3, architecture=arch, solver={"max_iters": 20, "amp_alpha": amp_alpha},
+            eval_trials=3, architecture=arch, solver={"max_iters": 20},
         )
         results = run_experiment(cfg).results
         artifacts = build_scenario(cfg.scenario)
@@ -204,8 +198,7 @@ class TestRunExperiment:
         events = build_dataset(
             sc, artifacts.beta, artifacts.pilots, cfg.eval_trials, substream(5, "eval-events")
         )
-        alpha = minimax_threshold_scale(sc.activation_prob) if amp_alpha is None else amp_alpha
-        solver = dataclasses.replace(cfg.solver, lam=default_lambda(sc), amp_alpha=alpha)
+        solver = dataclasses.replace(cfg.solver, lam=default_lambda(sc))
         assert solver.step_size is None
         for name, solve in {"ista": ista, "fista": fista, "amp": amp}.items():
             expected = []
@@ -272,13 +265,20 @@ class TestMainEntry:
             ({"solver": {"step_size": 0.0}}, "solver: step_size: must be > 0, got 0.0"),
             ({"solver": {"amp_iters": -1}}, "solver: amp_iters: must be >= 0, got -1"),
             ({"solver": {"amp_alpha": -0.5}}, "solver: amp_alpha: must be >= 0, got -0.5"),
+            ({"solver": {"amp_alpha": None}}, "solver: amp_alpha: must be a number, got null"),
+            ({"detectors": []}, "detectors: must not be empty"),
+            ({"architecture": "mesh"}, "architecture: must be one of"),
+            ({"eval_trials": 0}, "eval_trials: must be >= 1, got 0"),
+            ({"emit": ["pdf"]}, "emit: unknown output kind 'pdf'"),
         ],
         ids=["top level", "scenario", "federation", "solver", "emit",
              "float int", "bool int", "string float", "lam alias", "hidden_layers",
              "lambda_scale", "standardize_features", "shadow_std_db", "weight_mode",
              "activation_prob", "pathloss_intercept_db", "pathloss_exponent",
              "pathloss_floor_m", "adam_beta1", "adam_beta2", "adam_eps", "server_eps",
-             "lambda", "max_iters", "tol", "step_size", "amp_iters", "amp_alpha"],
+             "lambda", "max_iters", "tol", "step_size", "amp_iters", "amp_alpha",
+             "amp_alpha null", "detectors empty", "architecture", "eval_trials",
+             "emit kind"],
     )
     def test_validate_wrong_type_names_the_key(self, tmp_path, capsys, data, message):
         path = self._write(tmp_path, data)

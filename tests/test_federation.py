@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fuse_cluster_scores
 
+import fedad.federation as federation
 from fedad.channel import build_dataset
 from fedad.federation import (
     FederationConfig,
@@ -156,13 +157,13 @@ class TestAggregate:
 class TestServerStep:
     def test_plain_average_pass_through(self):
         current, agg = scalar_params(1.0), scalar_params(2.0)
-        out, _ = server_step(current, agg, None, "plain-average")
+        out, _ = server_step(current, agg, None)
         assert params_equal(out, agg)
 
     def test_zero_pseudo_gradient(self):
         current = scalar_params(0.5)
         state = init_adam(current, lr=1e-3)
-        out, state2 = server_step(current, current, state, "server-adam")
+        out, state2 = server_step(current, current, state)
         assert params_equal(out, current)
         assert state2.step_count == 1
 
@@ -171,12 +172,8 @@ class TestServerStep:
         current = scalar_params(0.1)
         agg = scalar_params(0.0)
         state = init_adam(current, lr=1e-3)
-        out, _ = server_step(current, agg, state, "server-adam")
+        out, _ = server_step(current, agg, state)
         assert out.w1[0, 0] == pytest.approx(0.1 - 1e-3, rel=1e-6)
-
-    def test_requires_state(self):
-        with pytest.raises(ValueError):
-            server_step(scalar_params(0.0), scalar_params(1.0), None, "server-adam")
 
 
 class TestPonderate:
@@ -259,6 +256,29 @@ class TestRunTraining:
         assert len(history.heldout_bce) == 3
         assert len(history.round_seconds) == 3
 
+    def test_regeneration_redraws_the_training_set(self, small_artifacts, monkeypatch):
+        # With regenerate_each_round, round 0 trains on the set drawn
+        # before the loop and every later round on a fresh draw.
+        sizes = []
+
+        def counting_build_dataset(*args):
+            sizes.append(args[3])
+            return build_dataset(*args)
+
+        monkeypatch.setattr(federation, "build_dataset", counting_build_dataset)
+        fed = FederationConfig(
+            rounds=3, local_epochs=1, batch_size=4, train_samples=8, eval_samples=6
+        )
+        _, fixed = run_training(small_artifacts, fed, substream(3, "fed"))
+        assert sizes == [8, 6]
+        sizes.clear()
+        fresh_fed = replace(fed, regenerate_each_round=True)
+        _, fresh = run_training(small_artifacts, fresh_fed, substream(3, "fed"))
+        # rounds training draws plus the held-out set
+        assert sizes == [8, 6, 8, 8]
+        assert fresh.heldout_bce[0] == fixed.heldout_bce[0]
+        assert fresh.heldout_bce[1] != fixed.heldout_bce[1]
+
     @pytest.mark.parametrize("mode", ["plain-average", "server-adam"])
     def test_learning_reduces_heldout_bce(self, mode):
         cfg = ScenarioConfig(
@@ -309,6 +329,14 @@ class TestUpdateWire:
         blob = serialize_update(self._update(small_config), 0)
         with pytest.raises(ValueError):
             deserialize_update(b"XXXX" + blob[4:])
+
+    def test_schema_rejects_what_does_not_deserialize(self, small_config):
+        # A foreign magic, a header followed by too few body bytes, and a
+        # body one parameter longer than the header's dimensions.
+        blob = serialize_update(self._update(small_config), 0)
+        for bad in (b"XXXX" + blob[4:], blob[:40], blob + bytes(8)):
+            with pytest.raises(ValueError):
+                update_schema(bad)
 
 
 class TestHeldoutBce:
@@ -375,7 +403,7 @@ class TestInputsUntouched:
         agg = self._random_params(small_config, "aggregate")
         before = (current.flat.tobytes(), agg.flat.tobytes())
         state = init_adam(current, lr=1e-2) if mode == "server-adam" else None
-        out, _ = server_step(current, agg, state, mode)
+        out, _ = server_step(current, agg, state)
         assert (current.flat.tobytes(), agg.flat.tobytes()) == before
         if mode == "server-adam":
             assert not np.shares_memory(out.flat, current.flat)
