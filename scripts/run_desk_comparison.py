@@ -45,17 +45,17 @@ def main() -> None:
     print("-" * len(header))
     for name, res in cellfree.results.items():
         print(
-            f"{name:<16}{res.roc.auc:>8.4f}{res.macs_complex1.macs:>12}"
-            f"{res.macs_real4.macs:>12}{res.iters:>7}"
+            f"{name:<16}{res.roc.auc:>8.4f}{res.macs_complex1:>12}"
+            f"{res.macs_real4:>12}{res.iters:>7}"
         )
     res = colocated.results["fl"]
-    print(f"{'fl (colocated)':<16}{res.roc.auc:>8.4f}{res.macs_complex1.macs:>12}"
-          f"{res.macs_real4.macs:>12}{res.iters:>7}")
+    print(f"{'fl (colocated)':<16}{res.roc.auc:>8.4f}{res.macs_complex1:>12}"
+          f"{res.macs_real4:>12}{res.iters:>7}")
 
-    fl_macs = cellfree.results["fl"].macs_complex1.macs
+    fl_macs = cellfree.results["fl"].macs_complex1
     if "amp" in cellfree.results:
-        amp1 = cellfree.results["amp"].macs_complex1.macs
-        amp4 = cellfree.results["amp"].macs_real4.macs
+        amp1 = cellfree.results["amp"].macs_complex1
+        amp4 = cellfree.results["amp"].macs_real4
         print(
             f"\nAMP/FL network MAC ratio: {amp1 / fl_macs:.2f} (complex MAC = 1) "
             f"to {amp4 / fl_macs:.2f} (complex MAC = 4 real)"

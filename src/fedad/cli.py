@@ -33,7 +33,7 @@ from . import __version__
 from .baselines import SolverConfig, colocate, mmv_problems, resolve_solver
 from .baselines import amp, fista, ista  # noqa: F401  (run by name in _baseline_detect)
 from .channel import build_dataset, received_from_features
-from .evaluation import MacCount, RocCurve, ScoredTrials, mac_count_amp, mac_count_slp, roc_curve
+from .evaluation import RocCurve, ScoredTrials, detector_macs, roc_curve, slp_macs_per_ap
 from .federation import (
     FederationConfig,
     LocalUpdate,
@@ -71,26 +71,26 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not self.detectors:
-            raise ConfigError("detectors: must not be empty")
+            raise ValueError("detectors: must not be empty")
         for d in self.detectors:
             if d not in ALL_DETECTORS:
-                raise ConfigError(f"detectors: unknown detector {d!r}")
+                raise ValueError(f"detectors: unknown detector {d!r}")
         if len(set(self.detectors)) < len(self.detectors):
-            raise ConfigError(f"detectors: each may appear once, got {list(self.detectors)}")
+            raise ValueError(f"detectors: each may appear once, got {list(self.detectors)}")
         if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"architecture: must be one of {ARCHITECTURES}")
+            raise ValueError(f"architecture: must be one of {ARCHITECTURES}")
         if self.eval_trials < 1:
-            raise ConfigError(f"eval_trials: must be >= 1, got {self.eval_trials}")
+            raise ValueError(f"eval_trials: must be >= 1, got {self.eval_trials}")
         for e in self.emit:
             if e not in ALL_EMIT:
-                raise ConfigError(f"emit: unknown output kind {e!r}")
+                raise ValueError(f"emit: unknown output kind {e!r}")
 
 
 @dataclass
 class DetectorResult:
     roc: RocCurve
-    macs_complex1: MacCount
-    macs_real4: MacCount
+    macs_complex1: int
+    macs_real4: int
     iters: int
     runtime_s: float
     trials: ScoredTrials
@@ -159,8 +159,6 @@ def _build_section(cls, data, section: str):
         kwargs[attr] = value
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -268,20 +266,16 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
         results: dict[str, DetectorResult] = {}
         history = None
         checkpoint = None
-        cfg = artifacts.config
         for detector in config.detectors:
             stage = f"detector {detector}"
             t0 = time.perf_counter()
             if detector == "fl":
                 trials, history, checkpoint = _fl_detect(config, artifacts, events, seed)
-                macs1 = mac_count_slp(cfg)
-                macs4 = macs1
                 iters = config.federation.rounds
             else:
                 solver = resolve_solver(config.solver, artifacts)
                 trials, iters = _baseline_detect(detector, solver, artifacts, events)
-                macs1 = mac_count_amp(cfg, iters, complex_mac_real_ops=1)
-                macs4 = mac_count_amp(cfg, iters, complex_mac_real_ops=4)
+            macs1, macs4 = detector_macs(detector, artifacts.config, iters)
             if not np.all(np.isfinite(trials.scores)):
                 raise ValueError("scores are not all finite")
             runtime = time.perf_counter() - t0
@@ -335,8 +329,8 @@ def emit_results(bundle: ResultBundle, config: ExperimentConfig) -> list[Path]:
             payload = {
                 detector: {
                     "auc": res.roc.auc,
-                    "macs_complex1": res.macs_complex1.macs,
-                    "macs_real4": res.macs_real4.macs,
+                    "macs_complex1": res.macs_complex1,
+                    "macs_real4": res.macs_real4,
                     "iters": res.iters,
                     "runtime_s": res.runtime_s,
                 }
@@ -370,28 +364,27 @@ def _mac_table(config: ExperimentConfig) -> str:
     cfg = config.scenario
     if config.architecture == "colocated":
         cfg = colocate(build_scenario(cfg)).config
-    slp = mac_count_slp(cfg)
+    per_ap = str(slp_macs_per_ap(cfg))
+    fl_network, _ = detector_macs("fl", cfg, 0)
     rows = [
         ("detector", "macs_complex1", "macs_real4", "iters"),
-        ("fl_per_ap", str(slp.knobs["per_ap_macs"]), str(slp.knobs["per_ap_macs"]), "-"),
-        ("fl_network", str(slp.macs), str(slp.macs), "-"),
+        ("fl_per_ap", per_ap, per_ap, "-"),
+        ("fl_network", str(fl_network), str(fl_network), "-"),
     ]
     solver = config.solver
     macs = {}
     for detector, iters in (
         ("ista", solver.max_iters), ("fista", solver.max_iters), ("amp", solver.amp_iters)
     ):
-        macs[detector] = [
-            mac_count_amp(cfg, iters, complex_mac_real_ops=ops).macs for ops in (1, 4)
-        ]
+        macs[detector] = detector_macs(detector, cfg, iters)
         rows.append((detector, *map(str, macs[detector]), str(iters)))
     amp_c1, amp_c4 = macs["amp"]
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
     lines.append(
         "amp/fl network ratio: "
-        f"{amp_c1 / slp.macs:.3f} (complex MAC = 1 real MAC), "
-        f"{amp_c4 / slp.macs:.3f} (complex MAC = 4 real MACs)"
+        f"{amp_c1 / fl_network:.3f} (complex MAC = 1 real MAC), "
+        f"{amp_c4 / fl_network:.3f} (complex MAC = 4 real MACs)"
     )
     return "\n".join(lines)
 

@@ -1,5 +1,5 @@
-"""ROC curves, AUC (trapezoid and rank-statistic), and multiply-accumulate
-cost models.
+"""ROC curves, AUC (trapezoid and rank-statistic), and the
+multiply-accumulate cost model.
 
 ROC curves are pooled over (device, trial) pairs: one network-level curve
 per detector. AUC is computed two independent ways, the trapezoidal rule
@@ -9,7 +9,7 @@ statistic; the two agree to machine precision, which the tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,20 +51,6 @@ class RocCurve:
     @property
     def points(self) -> list[tuple[float, float, float]]:
         return list(zip(self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist()))
-
-
-@dataclass(frozen=True)
-class MacCount:
-    """Multiply-accumulate tally with a per-stage breakdown; macs is the
-    exact sum of the breakdown."""
-
-    macs: int
-    breakdown: dict = field(default_factory=dict)
-    knobs: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.macs != sum(self.breakdown.values()):
-            raise ValueError("macs must equal the sum of the breakdown")
 
 
 def _check_both_classes(truths: np.ndarray) -> None:
@@ -132,55 +118,29 @@ def auc_rank_oracle(trials: ScoredTrials) -> float:
     return u / (n_pos * n_neg)
 
 
-def mac_count_slp(config: ScenarioConfig) -> MacCount:
-    """Network-wide SLP inference cost: every AP runs one forward pass,
-    (2*L*N)*V MACs into the hidden layer plus V*K into the output layer."""
-    m = config.num_aps
-    f = config.feature_dim
+def slp_macs_per_ap(config: ScenarioConfig) -> int:
+    """One SLP forward pass at one AP, in real MACs: (2*L*N)*V into the
+    hidden layer plus V*K into the output layer."""
     v = config.hidden_units
-    k = config.num_devices
-    per_ap = f * v + v * k
-    breakdown = {"hidden_layer_all_aps": m * f * v, "output_layer_all_aps": m * v * k}
-    return MacCount(
-        macs=m * per_ap,
-        breakdown=breakdown,
-        knobs={
-            "per_ap_macs": per_ap,
-            "num_aps": m,
-            "input_dim": f,
-            "hidden_units": v,
-            "num_devices": k,
-        },
-    )
+    return config.feature_dim * v + v * config.num_devices
 
 
-def mac_count_amp(
-    config: ScenarioConfig, iters: int, complex_mac_real_ops: int = 4
-) -> MacCount:
-    """Cost of an iterative MMV solve on the centralized antenna stack:
-    two L x K by K x N_total complex products per iteration.
+def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[int, int]:
+    """Network-wide MACs to score one event, under both accounting
+    conventions: (a complex MAC counted as 1, a complex MAC counted as 4
+    real MACs).
 
-    `complex_mac_real_ops` selects the accounting convention (a complex MAC
-    as 4 real MACs, or counted as 1).
+    FL is one real forward pass at every AP, the same under both. ISTA,
+    FISTA and AMP do two L x K by K x (M*N) complex products per
+    iteration on the centralized antenna stack, priced at `iters`.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    ell = config.pilot_len
-    k = config.num_devices
+    if detector == "fl":
+        macs = config.num_aps * slp_macs_per_ap(config)
+        return macs, macs
+    if detector not in ("ista", "fista", "amp"):
+        raise ValueError(f"no MAC model for detector {detector!r}")
     n_total = config.num_aps * config.antennas_per_ap
-    per_product = complex_mac_real_ops * ell * k * n_total
-    breakdown = {
-        "forward_products": iters * per_product,
-        "adjoint_products": iters * per_product,
-    }
-    return MacCount(
-        macs=iters * 2 * per_product,
-        breakdown=breakdown,
-        knobs={
-            "iters": iters,
-            "pilot_len": ell,
-            "num_devices": k,
-            "n_total_antennas": n_total,
-            "complex_mac_real_ops": complex_mac_real_ops,
-        },
-    )
+    complex_macs = iters * 2 * config.pilot_len * config.num_devices * n_total
+    return complex_macs, 4 * complex_macs

@@ -240,6 +240,8 @@ def serialize_update(update: LocalUpdate, round_index: int) -> bytes:
 def deserialize_update(blob: bytes) -> tuple[int, LocalUpdate]:
     """Unpack a version-1 blob; ValueError unless its body is exactly the
     parameter vector its header's dimensions call for."""
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"blob has {len(blob)} bytes, fewer than the {_HEADER.size}-byte header")
     magic, version, round_index, ap_index, weight, v, f, k = _HEADER.unpack_from(blob, 0)
     if magic != _MAGIC:
         raise ValueError("not an AP update blob")

@@ -24,9 +24,9 @@ from fedad.cli import config_from_dict, parse_config, run_experiment
 from fedad.evaluation import (
     ScoredTrials,
     auc_rank_oracle,
-    mac_count_amp,
-    mac_count_slp,
+    detector_macs,
     roc_curve,
+    slp_macs_per_ap,
 )
 from fedad.federation import (
     FederationConfig,
@@ -276,14 +276,11 @@ def test_criterion_7_mac_cost_claim(capsys):
     from fedad.cli import main
 
     cfg = ScenarioConfig()  # default full-scale dimensions
-    slp = mac_count_slp(cfg)
-    assert slp.knobs["per_ap_macs"] == 133_120
-    assert slp.macs == 2_662_400
+    assert slp_macs_per_ap(cfg) == 133_120
+    slp, _ = detector_macs("fl", cfg, 0)
+    assert slp == 2_662_400
 
-    ratios = [
-        mac_count_amp(cfg, 25, complex_mac_real_ops=ops).macs / slp.macs
-        for ops in (1, 4)
-    ]
+    ratios = [macs / slp for macs in detector_macs("amp", cfg, 25)]
     assert min(ratios) <= 6.0 <= max(ratios), f"ratios {ratios} do not bracket 6x"
     for r in ratios:
         # Quoted to three significant figures, both ratios land in [3, 12].

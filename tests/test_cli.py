@@ -266,10 +266,10 @@ class TestMainEntry:
             ({"solver": {"amp_iters": -1}}, "solver: amp_iters: must be >= 0, got -1"),
             ({"solver": {"amp_alpha": -0.5}}, "solver: amp_alpha: must be >= 0, got -0.5"),
             ({"solver": {"amp_alpha": None}}, "solver: amp_alpha: must be a number, got null"),
-            ({"detectors": []}, "detectors: must not be empty"),
-            ({"architecture": "mesh"}, "architecture: must be one of"),
-            ({"eval_trials": 0}, "eval_trials: must be >= 1, got 0"),
-            ({"emit": ["pdf"]}, "emit: unknown output kind 'pdf'"),
+            ({"detectors": []}, "top level: detectors: must not be empty"),
+            ({"architecture": "mesh"}, "top level: architecture: must be one of"),
+            ({"eval_trials": 0}, "top level: eval_trials: must be >= 1, got 0"),
+            ({"emit": ["pdf"]}, "top level: emit: unknown output kind 'pdf'"),
         ],
         ids=["top level", "scenario", "federation", "solver", "emit",
              "float int", "bool int", "string float", "lam alias", "hidden_layers",
@@ -363,6 +363,29 @@ class TestMainEntry:
         rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
         expected = "348160"  # one AP with all 8 * 2 antennas: (2 * 20 * 16) * 512 + 512 * 40
         assert rows["fl_per_ap"] == rows["fl_network"] == [expected, expected, "-"]
+
+    @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
+    def test_summary_macs_equal_the_macs_table(self, tmp_path, capsys, arch):
+        # With tol 0 no solver converges early, so ISTA and FISTA use
+        # max_iters, as the table prices them.
+        data = {
+            **SMOKE, "solver": {"max_iters": 20, "tol": 0.0},
+            "detectors": ["fl", "ista", "fista", "amp"], "architecture": arch,
+            "output_dir": str(tmp_path / "results"),
+        }
+        path = self._write(tmp_path, data)
+        assert main(["macs", "--config", str(path)]) == 0
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        assert main(["run", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "results" / "summary.json").read_text())
+        for detector, row in (("fl", "fl_network"), ("ista", "ista"), ("fista", "fista"),
+                              ("amp", "amp")):
+            summary = doc[detector]
+            assert [summary["macs_complex1"], summary["macs_real4"]] == [
+                int(macs) for macs in rows[row][:2]
+            ]
+            if detector != "fl":
+                assert str(summary["iters"]) == rows[row][2]
 
     def test_run_smoke_exit_0(self, tmp_path, capsys):
         data = json.loads(json.dumps(SMOKE))

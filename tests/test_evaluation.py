@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedad.evaluation import (
-    MacCount,
     ScoredTrials,
     auc_rank_oracle,
-    mac_count_amp,
-    mac_count_slp,
+    detector_macs,
     roc_curve,
+    slp_macs_per_ap,
 )
+from fedad.rng import substream
 from fedad.scenario import ScenarioConfig
+from fedad.slp import init_params
 
 
 def trials(scores, truths):
@@ -105,43 +106,62 @@ class TestAucRankOracle:
 class TestMacCounts:
     def test_slp_default_config(self):
         cfg = ScenarioConfig()  # M=20, N=2, K=100, L=40, V=512
-        count = mac_count_slp(cfg)
-        assert count.knobs["per_ap_macs"] == 133_120
-        assert count.macs == 2_662_400
-        assert count.macs == sum(count.breakdown.values())
+        assert slp_macs_per_ap(cfg) == 133_120
+        assert detector_macs("fl", cfg, 0) == (2_662_400, 2_662_400)
 
     def test_slp_minimal_dims(self):
         cfg = ScenarioConfig(
             num_aps=1, antennas_per_ap=1, num_devices=1, pilot_len=1,
             hidden_units=1, cluster_size=1,
         )
-        assert mac_count_slp(cfg).knobs["per_ap_macs"] == 3
+        assert slp_macs_per_ap(cfg) == 3
 
     def test_amp_default_config(self):
-        cfg = ScenarioConfig()
-        count = mac_count_amp(cfg, iters=25, complex_mac_real_ops=4)
-        assert count.macs == 32_000_000
-        assert count.macs == sum(count.breakdown.values())
-        count1 = mac_count_amp(cfg, iters=25, complex_mac_real_ops=1)
-        assert count1.macs == 8_000_000
+        assert detector_macs("amp", ScenarioConfig(), 25) == (8_000_000, 32_000_000)
 
     def test_amp_zero_iters(self):
-        assert mac_count_amp(ScenarioConfig(), iters=0).macs == 0
+        assert detector_macs("amp", ScenarioConfig(), 0) == (0, 0)
 
     def test_ratio_conventions(self):
         cfg = ScenarioConfig()
-        slp = mac_count_slp(cfg).macs
-        r4 = mac_count_amp(cfg, 25, complex_mac_real_ops=4).macs / slp
-        r1 = mac_count_amp(cfg, 25, complex_mac_real_ops=1).macs / slp
+        slp, _ = detector_macs("fl", cfg, 0)
+        r1, r4 = (macs / slp for macs in detector_macs("amp", cfg, 25))
         assert r1 == pytest.approx(3.0, rel=5e-3)
         assert r4 == pytest.approx(12.0, rel=5e-3)
         assert r1 < 6.0 < r4
 
     def test_linearity_in_dims(self):
         cfg = ScenarioConfig()
-        double_iters = mac_count_amp(cfg, 50).macs
-        assert double_iters == 2 * mac_count_amp(cfg, 25).macs
+        double_iters = detector_macs("amp", cfg, 50)
+        assert double_iters == tuple(2 * m for m in detector_macs("amp", cfg, 25))
 
-    def test_breakdown_sum_enforced(self):
-        with pytest.raises(ValueError):
-            MacCount(macs=10, breakdown={"a": 3, "b": 3})
+
+class TestMacOracle:
+    """The cost model against sizes read off the arrays a run builds."""
+
+    def test_per_ap_macs_are_the_weight_sizes(self, small_config):
+        params = init_params(small_config, substream(3, "init"))
+        assert slp_macs_per_ap(small_config) == params.w1.size + params.w2.size
+
+    @pytest.mark.parametrize("detector", ["ista", "fista", "amp"])
+    @pytest.mark.parametrize("iters", [0, 1, 7])
+    def test_solver_macs_are_two_dictionary_products(self, small_artifacts, detector, iters):
+        cfg = small_artifacts.config
+        n_total = cfg.num_aps * cfg.antennas_per_ap
+        complex_macs = iters * 2 * small_artifacts.pilots.size * n_total
+        assert detector_macs(detector, cfg, iters) == (complex_macs, 4 * complex_macs)
+
+    @pytest.mark.parametrize("iters", [0, 1, 50])
+    def test_fl_counts_agree_under_both_conventions(self, small_config, iters):
+        params = init_params(small_config, substream(3, "init"))
+        network = small_config.num_aps * (params.w1.size + params.w2.size)
+        assert detector_macs("fl", small_config, iters) == (network, network)
+
+    @pytest.mark.parametrize("detector", ["fl", "ista", "fista", "amp"])
+    def test_negative_iters_raise(self, small_config, detector):
+        with pytest.raises(ValueError, match="iters"):
+            detector_macs(detector, small_config, -1)
+
+    def test_unknown_detector_raises(self, small_config):
+        with pytest.raises(ValueError, match="no MAC model"):
+            detector_macs("mf", small_config, 1)

@@ -331,10 +331,11 @@ class TestUpdateWire:
             deserialize_update(b"XXXX" + blob[4:])
 
     def test_schema_rejects_what_does_not_deserialize(self, small_config):
-        # A foreign magic, a header followed by too few body bytes, and a
-        # body one parameter longer than the header's dimensions.
+        # A foreign magic, a header followed by too few body bytes, a body
+        # one parameter longer than the header's dimensions, and blobs
+        # shorter than the header.
         blob = serialize_update(self._update(small_config), 0)
-        for bad in (b"XXXX" + blob[4:], blob[:40], blob + bytes(8)):
+        for bad in (b"XXXX" + blob[4:], blob[:40], blob + bytes(8), b"ADUP", b""):
             with pytest.raises(ValueError):
                 update_schema(bad)
 
