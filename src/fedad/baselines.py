@@ -1,6 +1,7 @@
 """Sparse-recovery baselines on the stacked multi-antenna observations:
 ISTA, FISTA (row-sparse group LASSO), and AMP with a row soft-threshold
-denoiser, plus the colocated-array scenario transform.
+denoiser; `detect`, which runs one of them on every event of a dataset;
+and the colocated-array scenario transform.
 
 The uplink model is rewritten as Y = S X + W where S is the pilot book
 scaled by sqrt(tx_power), Y stacks every antenna of the participating APs
@@ -10,11 +11,11 @@ Activity is then read off the recovered row energies.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import Dataset, received_from_features
 from .scenario import Geometry, ScenarioArtifacts, ScenarioConfig, large_scale_fading
 
 
@@ -92,22 +93,6 @@ class SparseEstimate:
     activity_stat: np.ndarray
     iterations_used: int
     objective_trace: np.ndarray
-
-
-def mmv_problems(
-    received: np.ndarray, pilots: np.ndarray, tx_power: float
-) -> Iterator[MmvProblem]:
-    """The centralized problem of each event of an (E, M, L, N) received
-    batch, in order. All events share one dictionary sqrt(tx_power) *
-    pilots; each stacks its M APs' antennas column-wise."""
-    _, m, ell, n = received.shape
-    dictionary = np.sqrt(tx_power) * pilots
-    for event in received:
-        yield MmvProblem(
-            dictionary=dictionary,
-            observations=event.transpose(1, 0, 2).reshape(ell, m * n),
-            rho=tx_power,
-        )
 
 
 def default_lambda(config: ScenarioConfig) -> float:
@@ -302,6 +287,37 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
         iterations_used=solver.amp_iters,
         objective_trace=np.asarray(trace),
     )
+
+
+def detect(
+    detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events: Dataset
+) -> tuple[np.ndarray, int]:
+    """Score every event with the baseline named `detector` (ista, fista or
+    amp) under the experiment's resolved solver settings.
+
+    Each event is one centralized problem: the dictionary sqrt(tx_power) *
+    pilots, shared by all events, against the event's M APs' antennas
+    stacked column-wise. Returns the (n_events, K) recovered row energies
+    and the most iterations any event used.
+    """
+    if detector not in ("ista", "fista", "amp"):
+        raise ValueError(f"unknown baseline detector {detector!r}")
+    cfg = artifacts.config
+    solver = resolve_solver(solver, artifacts)
+    # Looked up at call time, so that whatever the module name is bound to
+    # then (a tracing wrapper, say) is what runs.
+    solve = globals()[detector]
+    dictionary = np.sqrt(cfg.tx_power) * artifacts.pilots
+    received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
+    n_events, m, ell, n = received.shape
+    stats = np.empty((n_events, cfg.num_devices))
+    iters = 0
+    for i, event in enumerate(received):
+        observations = event.transpose(1, 0, 2).reshape(ell, m * n)
+        est = solve(MmvProblem(dictionary, observations, cfg.tx_power), solver)
+        stats[i] = est.activity_stat
+        iters = max(iters, est.iterations_used)
+    return stats, iters
 
 
 def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:

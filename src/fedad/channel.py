@@ -1,10 +1,10 @@
 """Small-scale fading, per-AP received-signal synthesis, and labeled
 dataset construction.
 
-Feature encoding: each AP's L x N observation is flattened column-major
-(antenna by antenna) and the real parts are concatenated ahead of the
-imaginary parts, giving a lossless real vector of length 2*L*N. The
-inverse (`received_from_features`) is bit-exact.
+Feature encoding (`features_from_received`): each AP's L x N observation
+is flattened column-major (antenna by antenna) and the real parts are
+concatenated ahead of the imaginary parts, giving a lossless real vector
+of length 2*L*N. The inverse (`received_from_features`) is bit-exact.
 """
 
 from __future__ import annotations
@@ -69,10 +69,12 @@ def synthesize_received(
     return signal + noise
 
 
-def features_from_received(y_m: np.ndarray) -> np.ndarray:
-    """Flatten one AP's L x N observation to a real vector of length 2*L*N."""
-    flat = y_m.flatten(order="F")
-    return np.concatenate([flat.real, flat.imag])
+def features_from_received(received: np.ndarray) -> np.ndarray:
+    """Flatten L x N observations to real vectors of length 2*L*N, over any
+    leading batch axes: (..., L, N) observations map to (..., 2*L*N)
+    features."""
+    flat = received.swapaxes(-1, -2).reshape(received.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def received_from_features(features: np.ndarray, pilot_len: int, antennas: int) -> np.ndarray:
@@ -99,17 +101,12 @@ def build_dataset(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples: must be >= 1, got {n_samples}")
-    m, k = config.num_aps, config.num_devices
-    # Each AP's features, viewed as (real/imag, antenna, pilot symbol): the
-    # layout of features_from_received, written for all APs at once.
-    feat = np.empty((n_samples, m, 2, config.antennas_per_ap, config.pilot_len))
-    labels = np.empty((n_samples, k), dtype=np.int8)
+    feat = np.empty((n_samples, config.num_aps, config.feature_dim))
+    labels = np.empty((n_samples, config.num_devices), dtype=np.int8)
     for i, child in enumerate(stream.spawn(n_samples)):
         activity = sample_activity(config, child)
         gains = draw_channels(beta, config, child)
         y = synthesize_received(activity, gains, pilots, config, child)
-        y_t = y.transpose(0, 2, 1)
-        feat[i, :, 0] = y_t.real
-        feat[i, :, 1] = y_t.imag
+        feat[i] = features_from_received(y)
         labels[i] = activity
-    return Dataset(features=feat.reshape(n_samples, m, config.feature_dim), labels=labels)
+    return Dataset(features=feat, labels=labels)

@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import SolverConfig, colocate, mmv_problems, resolve_solver
-from .baselines import amp, fista, ista  # noqa: F401  (run by name in _baseline_detect)
-from .channel import build_dataset, received_from_features
+from .baselines import SolverConfig, colocate, detect
+from .channel import build_dataset
 from .evaluation import RocCurve, ScoredTrials, detector_macs, roc_curve, slp_macs_per_ap
 from .federation import (
     FederationConfig,
@@ -209,45 +208,23 @@ def _version_string() -> str:
         )
         if described.returncode == 0 and described.stdout.strip():
             return f"fedad-{__version__}+{described.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or one that hangs
         pass
     return f"fedad-{__version__}"
 
 
 def _fl_detect(
     config: ExperimentConfig, artifacts: ScenarioArtifacts, events, seed: int
-) -> tuple[ScoredTrials, list[float], bytes]:
+) -> tuple[np.ndarray, list[float], bytes]:
     """Train the federated detector, then score every evaluation event by
-    clustered fusion of per-AP probabilities."""
+    clustered fusion of per-AP probabilities: (n_events, K) scores."""
     params, history = run_training(artifacts, config.federation, substream(seed, "federation"))
     fused = score_events(params, events, artifacts.beta, artifacts.config.cluster_size)
-    trials = ScoredTrials(scores=fused.ravel(), truths=events.labels.astype(np.int8).ravel())
     checkpoint = serialize_update(
         LocalUpdate(params=params, weight=1.0, ap_index=0),
         round_index=config.federation.rounds,
     )
-    return trials, history.heldout_bce, checkpoint
-
-
-def _baseline_detect(
-    detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events
-) -> tuple[ScoredTrials, int]:
-    """Per-event centralized MMV solve with the baseline function named
-    `detector` (ista, fista or amp) under resolved settings; the detection
-    statistic is the recovered row energy."""
-    cfg = artifacts.config
-    # Looked up at call time, so that whatever the module name is bound to
-    # then (a tracing wrapper, say) is what runs.
-    solve = globals()[detector]
-    received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
-    stats = np.empty((events.n_samples, cfg.num_devices))
-    iters_used = 0
-    for i, problem in enumerate(mmv_problems(received, artifacts.pilots, cfg.tx_power)):
-        est = solve(problem, solver)
-        stats[i] = est.activity_stat
-        iters_used = max(iters_used, est.iterations_used)
-    trials = ScoredTrials(scores=stats.ravel(), truths=events.labels.astype(np.int8).ravel())
-    return trials, iters_used
+    return fused, history.heldout_bce, checkpoint
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:
@@ -270,11 +247,11 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
             stage = f"detector {detector}"
             t0 = time.perf_counter()
             if detector == "fl":
-                trials, history, checkpoint = _fl_detect(config, artifacts, events, seed)
+                scores, history, checkpoint = _fl_detect(config, artifacts, events, seed)
                 iters = config.federation.rounds
             else:
-                solver = resolve_solver(config.solver, artifacts)
-                trials, iters = _baseline_detect(detector, solver, artifacts, events)
+                scores, iters = detect(detector, config.solver, artifacts, events)
+            trials = ScoredTrials(scores=scores.ravel(), truths=events.labels.ravel())
             macs1, macs4 = detector_macs(detector, artifacts.config, iters)
             if not np.all(np.isfinite(trials.scores)):
                 raise ValueError("scores are not all finite")
@@ -390,19 +367,18 @@ def _mac_table(config: ExperimentConfig) -> str:
 
 
 def _apply_cli_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+    """The config with the run flags set, rebuilt through config_from_dict
+    so that a flag's value is checked, and named, as the file's would be."""
+    data = config_to_dict(config)
     if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(
-            config,
-            scenario=dataclasses.replace(config.scenario, master_seed=args.seed),
-        )
+        data["scenario"]["master_seed"] = args.seed
     if getattr(args, "out", None) is not None:
-        config = dataclasses.replace(config, output_dir=args.out)
+        data["output_dir"] = args.out
     if getattr(args, "detectors", None) is not None:
-        names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
-        config = dataclasses.replace(config, detectors=names)
+        data["detectors"] = [d.strip() for d in args.detectors.split(",") if d.strip()]
     if getattr(args, "arch", None) is not None:
-        config = dataclasses.replace(config, architecture=args.arch)
-    return config
+        data["architecture"] = args.arch
+    return config_from_dict(data)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config)
         config = _apply_cli_overrides(config, args)
-    except ValueError as exc:  # ConfigError, or a section rejecting a flag's value
+    except ValueError as exc:  # ConfigError, or json refusing a 5,000-digit integer
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,13 +15,15 @@ from fedad.baselines import (
     MmvProblem,
     SolverConfig,
     SolverDivergenceError,
+    SparseEstimate,
     _objective,
     amp,
     colocate,
     default_lambda,
+    default_step_size,
+    detect,
     fista,
     ista,
-    mmv_problems,
     resolve_solver,
     row_soft_threshold,
 )
@@ -317,36 +319,81 @@ class TestStatisticSeparation:
         assert active_stats.min() > inactive_stats.max()
 
 
-class TestBuildMmvProblem:
-    def test_stacking_and_scaling(self):
-        cfg = ScenarioConfig(
-            num_aps=3, antennas_per_ap=2, num_devices=6, pilot_len=5,
-            cluster_size=2, tx_power=4.0,
+class _RecordingSolver:
+    """Stand-in for a baseline solver: records each (problem, solver) call
+    and answers call i with statistic i + 0.5 on every device and i + 1
+    iterations, except that the first call reports the most."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, problem, solver):
+        i = len(self.calls)
+        self.calls.append((problem, solver))
+        k = problem.dictionary.shape[1]
+        return SparseEstimate(
+            x_hat=np.zeros((k, problem.observations.shape[1]), dtype=complex),
+            activity_stat=np.full(k, i + 0.5),
+            iterations_used=50 if i == 0 else i + 1,
+            objective_trace=np.zeros(1),
         )
-        art = build_scenario(cfg)
-        ds = build_dataset(cfg, art.beta, art.pilots, 1, substream(0, "events"))
+
+
+class TestBuildMmvProblem:
+    CONFIG = ScenarioConfig(
+        num_aps=3, antennas_per_ap=2, num_devices=6, pilot_len=5,
+        cluster_size=2, tx_power=4.0,
+    )
+
+    def _detect_recorded(self, monkeypatch, n_events):
+        # detect must find the solver by name when it runs, so a stand-in
+        # bound to the module name is what it calls.
+        art = build_scenario(self.CONFIG)
+        ds = build_dataset(self.CONFIG, art.beta, art.pilots, n_events, substream(0, "events"))
+        recorder = _RecordingSolver()
+        monkeypatch.setattr("fedad.baselines.ista", recorder)
+        stats, iters = detect("ista", SolverConfig(), art, ds)
+        return art, ds, recorder.calls, stats, iters
+
+    def test_stacking_and_scaling(self, monkeypatch):
+        art, ds, calls, stats, iters = self._detect_recorded(monkeypatch, 1)
         received = np.stack(
             [received_from_features(ds.features[0, ap], 5, 2) for ap in range(3)]
         )
-        prob = next(mmv_problems(received[None], art.pilots, cfg.tx_power))
+        assert len(calls) == 1
+        prob, solver = calls[0]
         assert prob.observations.shape == (5, 6)
         assert np.array_equal(prob.observations, np.concatenate(list(received), axis=1))
         assert np.allclose(np.linalg.norm(prob.dictionary, axis=0), 2.0, atol=1e-9)
+        assert prob.rho == 4.0
+        # The solver arrives resolved: lam and the step size are set.
+        assert solver.lam == default_lambda(self.CONFIG)
+        assert solver.step_size == default_step_size(2.0 * art.pilots)
+        assert np.array_equal(stats, np.full((1, 6), 0.5))
+        assert iters == 50
 
-    def test_batch_shares_one_dictionary(self):
-        cfg = ScenarioConfig(
-            num_aps=3, antennas_per_ap=2, num_devices=6, pilot_len=5,
-            cluster_size=2, tx_power=4.0,
-        )
-        art = build_scenario(cfg)
-        ds = build_dataset(cfg, art.beta, art.pilots, 4, substream(0, "events"))
+    def test_batch_shares_one_dictionary(self, monkeypatch):
+        art, ds, calls, stats, iters = self._detect_recorded(monkeypatch, 4)
         received = received_from_features(ds.features, 5, 2)
-        problems = list(mmv_problems(received, art.pilots, cfg.tx_power))
-        assert len(problems) == 4
-        assert np.array_equal(problems[0].dictionary, 2.0 * art.pilots)
-        for event, prob in zip(received, problems):
-            assert np.array_equal(prob.observations, np.concatenate(list(event), axis=1))
-            assert prob.dictionary is problems[0].dictionary
+        # One call per event, in event order, all with one resolved solver
+        # and one dictionary object, sqrt(P) * pilots.
+        assert len(calls) == 4
+        dictionary = calls[0][0].dictionary
+        assert np.array_equal(dictionary, np.sqrt(4.0) * art.pilots)
+        for i, (prob, solver) in enumerate(calls):
+            assert np.array_equal(prob.observations, np.concatenate(list(received[i]), axis=1))
+            assert prob.dictionary is dictionary
+            assert solver == resolve_solver(SolverConfig(), art)
+            assert solver.lam is not None and solver.step_size is not None
+        assert np.array_equal(stats, np.repeat(np.arange(4)[:, None] + 0.5, 6, axis=1))
+        assert iters == 50
+
+    @pytest.mark.parametrize("name", ["colocate", "detect", "MmvProblem", "fl"])
+    def test_detect_refuses_what_is_no_baseline(self, name):
+        art = build_scenario(self.CONFIG)
+        ds = build_dataset(self.CONFIG, art.beta, art.pilots, 1, substream(0, "events"))
+        with pytest.raises(ValueError, match="unknown baseline detector"):
+            detect(name, SolverConfig(), art, ds)
 
     @pytest.mark.parametrize("rho", [1e-12, 1.0, 4.0, 1e12])
     def test_column_norm_tolerance_boundary(self, rho):

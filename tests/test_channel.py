@@ -133,6 +133,21 @@ class TestFeatureCodec:
         for i, ap in np.ndindex(4, 6):
             assert np.array_equal(decoded[i, ap], received_from_features(batch[i, ap], 5, 3))
 
+    def test_layout_written_out(self):
+        # L = 3 pilot symbols, N = 2 antennas: the real parts antenna by
+        # antenna, [Re y[:, 0], Re y[:, 1]], then the imaginary parts.
+        y = np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j], [9 + 10j, 11 + 12j]])
+        expected = [1.0, 5.0, 9.0, 3.0, 7.0, 11.0, 2.0, 6.0, 10.0, 4.0, 8.0, 12.0]
+        assert np.array_equal(features_from_received(y), expected)
+
+    def test_batched_encode_equals_per_ap(self):
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal((4, 6, 5, 3)) + 1j * rng.standard_normal((4, 6, 5, 3))
+        feats = features_from_received(y)
+        assert feats.shape == (4, 6, 30)
+        for i, ap in np.ndindex(4, 6):
+            assert np.array_equal(feats[i, ap], features_from_received(y[i, ap]))
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**31),

@@ -10,6 +10,7 @@ import pytest
 import fedad
 from fedad.cli import (
     ConfigError,
+    _version_string,
     config_from_dict,
     config_to_dict,
     emit_results,
@@ -168,16 +169,16 @@ class TestRunExperiment:
         # The runner decodes all events at once and fills in lam and the
         # step size from the experiment's scenario; scores must equal
         # solving each event on its own, with the step size from that
-        # event's problem.
+        # event's problem, stacked here by hand.
         import dataclasses
 
         from fedad.baselines import (
+            MmvProblem,
             amp,
             colocate,
             default_lambda,
             fista,
             ista,
-            mmv_problems,
         )
         from fedad.channel import build_dataset, received_from_features
         from fedad.rng import substream
@@ -207,7 +208,11 @@ class TestRunExperiment:
                     received_from_features(events.features[i, ap], sc.pilot_len, sc.antennas_per_ap)
                     for ap in range(sc.num_aps)
                 ])
-                problem = next(mmv_problems(received[None], artifacts.pilots, sc.tx_power))
+                problem = MmvProblem(
+                    np.sqrt(sc.tx_power) * artifacts.pilots,
+                    np.concatenate(list(received), axis=1),
+                    sc.tx_power,
+                )
                 expected.append(solve(problem, solver).activity_stat)
             assert np.any(results[name].trials.scores > 0)
             assert np.array_equal(results[name].trials.scores, np.concatenate(expected))
@@ -413,14 +418,15 @@ class TestMainEntry:
         "changes, flags, message",
         [({"scenario": {**SMOKE["scenario"], "master_seed": -1}}, [],
           "scenario: master_seed: must be >= 0, got -1"),
-         ({}, ["--seed", "-3"], "master_seed: must be >= 0, got -3"),
-         ({"detectors": ["fl", "fl"]}, [], "detectors: each may appear once"),
-         ({}, ["--detectors", "fl,fl"], "detectors: each may appear once"),
+         ({}, ["--seed", "-3"], "scenario: master_seed: must be >= 0, got -3"),
+         ({"detectors": ["fl", "fl"]}, [], "top level: detectors: each may appear once"),
+         ({}, ["--detectors", "fl,fl"], "top level: detectors: each may appear once"),
+         ({}, ["--detectors", ","], "top level: detectors: must not be empty"),
          ({"scenario": {**SMOKE["scenario"], "activation_prob": 0.0}}, [],
           "scenario: activation_prob: must lie in (0, 1), got 0.0"),
          ({"scenario": {**SMOKE["scenario"], "activation_prob": 1.0}}, ["--detectors", "ista"],
           "scenario: activation_prob: must lie in (0, 1), got 1.0")],
-        ids=["master_seed", "--seed", "detectors", "--detectors",
+        ids=["master_seed", "--seed", "detectors", "--detectors", "--detectors-empty",
              "activation_prob-0", "activation_prob-1"],
     )
     def test_run_rejects_bad_values_before_running(self, tmp_path, capsys, changes, flags, message):
@@ -429,6 +435,25 @@ class TestMainEntry:
         assert main(["run", "--config", str(path), *flags]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
+
+
+def test_run_survives_a_hanging_git(tmp_path, monkeypatch):
+    # The version stamp asks git; a git that times out must not cost the
+    # run its outputs, only the commit in the stamp.
+    def hanging_git(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    _version_string.cache_clear()
+    monkeypatch.setattr("fedad.cli.subprocess.run", hanging_git)
+    try:
+        data = {**SMOKE, "detectors": ["amp"], "output_dir": str(tmp_path / "results")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "results" / "summary.json").read_text())
+        assert doc["version"] == f"fedad-{fedad.__version__}"
+    finally:
+        _version_string.cache_clear()
 
 
 @pytest.mark.parametrize(
