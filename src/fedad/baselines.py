@@ -53,12 +53,11 @@ class SolverConfig:
     """Knobs shared by the iterative solvers.
 
     lam: row-group regularization weight (ISTA/FISTA).
-    step_size: proximal-gradient step; None selects 1 / ||S||_2^2.
+    step_size: proximal-gradient step (ISTA/FISTA).
     amp_alpha: AMP threshold multiplier.
 
     None in lam or step_size stands for the experiment's default, which
-    resolve_solver fills in. Given a None, ista and fista take the
-    problem's own 1 / ||S||_2^2 step and refuse a missing lam.
+    resolve_solver fills in; ista and fista take resolved settings.
     """
 
     lam: float | None = None
@@ -108,25 +107,21 @@ def default_lambda(config: ScenarioConfig) -> float:
 
 
 def row_soft_threshold(rows: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink each row toward zero: row * max(1 - tau/||row||, 0).
-
-    Accepts a single row (1-D) or a stack of rows (2-D); zero rows map to
-    zero even at tau = 0.
+    """Shrink each row of a 2-D stack toward zero:
+    row * max(1 - tau/||row||, 0). Zero rows map to zero even at tau = 0.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    x = np.atleast_2d(rows)
-    norms = _row_norms(x)
+    norms = _row_norms(rows)
     scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
-    out = x * scale[:, None]
-    return out[0] if np.ndim(rows) == 1 else out
+    return rows * scale[:, None]
 
 
 def _objective(residual: np.ndarray, x: np.ndarray, lam: float) -> float:
     """The LASSO objective 0.5 * ||Y - S X||_F^2 + lam * sum_k ||row k of X||_2
-    of x, given its residual Y - S X."""
+    of the 2-D estimate x, given its residual Y - S X."""
     data_term = 0.5 * float(_frobenius(residual) ** 2)
-    return data_term + lam * float(np.sum(_row_norms(np.atleast_2d(x))))
+    return data_term + lam * float(np.sum(_row_norms(x)))
 
 
 # The two norms below are the expressions np.linalg.norm evaluates for
@@ -168,12 +163,6 @@ def resolve_solver(solver: SolverConfig, artifacts: ScenarioArtifacts) -> Solver
     return solver
 
 
-def _require_lam(solver: SolverConfig) -> float:
-    if solver.lam is None:
-        raise ValueError("solver.lam is unset; resolve it (e.g. default_lambda) first")
-    return solver.lam
-
-
 def _check_divergence(trace: list[float], increases: int, f0: float) -> int:
     """Count consecutive objective increases; five in a row above the
     starting objective signals a bad step size."""
@@ -196,7 +185,9 @@ def _proximal_gradient(
 ) -> SparseEstimate:
     """Proximal-gradient iteration for the row-sparse LASSO, from X = 0:
 
-        X <- rowprox(Z + mu * S^H (Y - S Z), mu * lam),  mu = step_size.
+        X <- rowprox(Z + mu * S^H (Y - S Z), mu * lam),  mu = step_size,
+
+    with lam and step_size as resolve_solver sets them.
 
     Without acceleration Z is the last iterate, whose residual the
     objective already computed. With it, Z follows the Nesterov momentum
@@ -206,8 +197,7 @@ def _proximal_gradient(
     s = problem.dictionary
     s_h = s.conj().T
     y = problem.observations
-    lam = _require_lam(solver)
-    mu = default_step_size(s) if solver.step_size is None else solver.step_size
+    lam, mu = solver.lam, solver.step_size
     x = z = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     residual = y - s @ x
     trace = [_objective(residual, x, lam)]
@@ -241,7 +231,7 @@ def _proximal_gradient(
 
 def ista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     """ISTA; its objective trace (including the X = 0 start) is
-    nonincreasing for any step below the 1/||S||_2^2 default."""
+    nonincreasing for any step up to 1 / ||S||_2^2 (default_step_size)."""
     return _proximal_gradient(problem, solver, accelerate=False)
 
 

@@ -29,10 +29,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
     def shard(self, ap_index: int) -> tuple[np.ndarray, np.ndarray]:
         """One AP's local view: its features across all events, shared labels."""
         return self.features[:, ap_index, :], self.labels

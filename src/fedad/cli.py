@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import subprocess
 import sys
 import time
@@ -46,7 +45,6 @@ from .scenario import ScenarioArtifacts, ScenarioConfig, build_scenario
 ALL_DETECTORS = ("fl", "ista", "fista", "amp")
 ALL_EMIT = ("roc_csv", "summary_json", "history_csv", "checkpoints")
 ARCHITECTURES = ("cellfree", "colocated")
-ROC_MAX_POINTS = 2048
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,10 +116,13 @@ def _check_scalar(hint, value, where: str) -> None:
     """Raise ConfigError unless `value` is a JSON value of the field type
     `hint` (a scalar type, or a union of them such as `float | None`).
     Types match exactly, so a bool is no integer; a float field also
-    takes an integer, and no number field takes NaN or an infinity."""
+    takes an integer, and no number field takes NaN, an infinity, or an
+    integer beyond the float range."""
     accepted = typing.get_args(hint) or (hint,)
     if type(value) in accepted or (type(value) is int and float in accepted):
-        if type(value) is float and not math.isfinite(value):
+        number = type(value) in (int, float) and float in accepted
+        # NaN fails the comparison; an int is compared exactly, unrounded.
+        if number and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where}: must be a finite number, got {json.dumps(value)}")
         return
     expected = " or ".join(_SCALAR_NAMES[kind] for kind in accepted)
@@ -257,7 +258,7 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
                 raise ValueError("scores are not all finite")
             runtime = time.perf_counter() - t0
             results[detector] = DetectorResult(
-                roc=roc_curve(trials, ROC_MAX_POINTS),
+                roc=roc_curve(trials),
                 macs_complex1=macs1,
                 macs_real4=macs4,
                 iters=iters,

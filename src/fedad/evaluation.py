@@ -15,6 +15,9 @@ import numpy as np
 
 from .scenario import ScenarioConfig
 
+# Most points a returned ROC curve keeps; the AUC always uses them all.
+ROC_MAX_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class ScoredTrials:
@@ -36,8 +39,8 @@ class ScoredTrials:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold sweep: (threshold, fpr, tpr) triples plus the trapezoidal
-    AUC of the full, uncapped sweep.
+    """Threshold sweep: at most ROC_MAX_POINTS (threshold, fpr, tpr)
+    triples plus the trapezoidal AUC of the full, uncapped sweep.
 
     Thresholds ascend; fpr and tpr are each nonincreasing along them, and
     the endpoints (1, 1) and (0, 0) in (fpr, tpr) space are always present.
@@ -61,11 +64,11 @@ def _check_both_classes(truths: np.ndarray) -> None:
         )
 
 
-def roc_curve(trials: ScoredTrials, n_thresholds: int | None = None) -> RocCurve:
+def roc_curve(trials: ScoredTrials) -> RocCurve:
     """Sweep thresholds over the sorted unique scores with the decision rule
     `score >= threshold`; rates are pooled over all trials. The AUC is
-    taken over every threshold; n_thresholds caps only the returned
-    points, at evenly sampled quantiles."""
+    taken over every threshold; the returned points are capped at
+    ROC_MAX_POINTS, kept at evenly sampled quantiles."""
     scores = np.asarray(trials.scores, dtype=np.float64)
     truths = np.asarray(trials.truths)
     _check_both_classes(truths)
@@ -80,11 +83,9 @@ def roc_curve(trials: ScoredTrials, n_thresholds: int | None = None) -> RocCurve
     # fpr ascends when read back-to-front (thresholds descend).
     auc = float(np.trapezoid(tpr[::-1], fpr[::-1]))
 
-    if n_thresholds is not None and len(thresholds) > n_thresholds:
-        if n_thresholds < 2:
-            raise ValueError(f"n_thresholds must be >= 2, got {n_thresholds}")
+    if len(thresholds) > ROC_MAX_POINTS:
         n_unique = len(thresholds) - 1
-        idx = np.round(np.linspace(0, n_unique - 1, n_thresholds - 1)).astype(int)
+        idx = np.round(np.linspace(0, n_unique - 1, ROC_MAX_POINTS - 1)).astype(int)
         keep = np.concatenate([np.unique(idx), [n_unique]])
         thresholds, fpr, tpr = thresholds[keep], fpr[keep], tpr[keep]
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)

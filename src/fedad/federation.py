@@ -69,8 +69,8 @@ class LocalUpdate:
     ap_index: int
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
+        if not 0 <= self.weight < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass

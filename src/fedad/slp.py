@@ -57,9 +57,9 @@ class SlpParams:
         self.w2 = flat[w2:b2].reshape(k, v)
         self.b2 = flat[b2:]
 
-    def like(self, flat: np.ndarray | None = None) -> "SlpParams":
-        """This layout over `flat` (not copied), or over fresh zeros."""
-        return SlpParams.from_flat(np.zeros_like(self.flat) if flat is None else flat, self.dims)
+    def like(self, flat: np.ndarray) -> "SlpParams":
+        """This layout over `flat` (not copied)."""
+        return SlpParams.from_flat(flat, self.dims)
 
     def copy(self) -> "SlpParams":
         return self.like(self.flat.copy())
@@ -107,26 +107,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def forward(
     params: SlpParams, features: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Scores in (0, 1) plus cached activations for backward.
-
-    `features` may be a single vector (F,) or a batch (B, F); scores
-    match with shape (K,) or (B, K).
-    """
-    x = np.atleast_2d(features)
-    if x.shape[1] != params.w1.shape[1]:
+    """Scores in (0, 1), shaped (B, K), for a (B, F) batch of feature
+    vectors, plus cached activations for backward."""
+    if features.shape[1] != params.w1.shape[1]:
         raise ValueError(
-            f"feature length {x.shape[1]} does not match "
+            f"feature length {features.shape[1]} does not match "
             f"model input dim {params.w1.shape[1]}"
         )
-    z1 = x @ params.w1.T
+    z1 = features @ params.w1.T
     z1 += params.b1
     hidden = np.maximum(z1, 0.0)
     z2 = hidden @ params.w2.T
     z2 += params.b2
-    scores = _sigmoid(z2)
-    if features.ndim == 1:
-        scores = scores[0]
-    return scores, {"x": x, "z1": z1, "hidden": hidden, "z2": z2}
+    return _sigmoid(z2), {"x": features, "z1": z1, "hidden": hidden, "z2": z2}
 
 
 def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -138,13 +131,12 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(params: SlpParams, features: np.ndarray, labels: np.ndarray) -> SlpParams:
-    """Exact gradients of the mean BCE, using the fused sigmoid-BCE delta
-    (scores - labels) / (batch * K), written into one fresh flat buffer."""
+    """Exact gradients of the mean BCE over a (B, F) batch and its (B, K)
+    labels, using the fused sigmoid-BCE delta (scores - labels) / (B * K),
+    written into one fresh flat buffer."""
     scores, cache = forward(params, features)
-    s = np.atleast_2d(scores)
-    a = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    batch, k = s.shape
-    d2 = (s - a) / (batch * k)                      # (B, K)
+    batch, k = scores.shape
+    d2 = (scores - labels) / (batch * k)            # (B, K)
     grads = params.like(np.empty_like(params.flat))
     np.matmul(d2.T, cache["hidden"], out=grads.w2)
     np.sum(d2, axis=0, out=grads.b2)

@@ -60,23 +60,15 @@ def received_signals_reference(config, beta, pilots, n_samples, stream):
 
 
 def _reference_row_soft_threshold(rows, tau):
-    x = np.atleast_2d(rows)
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.linalg.norm(rows, axis=1)
     scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
-    out = x * scale[:, None]
-    return out[0] if np.ndim(rows) == 1 else out
+    return rows * scale[:, None]
 
 
 def _reference_objective(problem, x, lam):
     residual = problem.observations - problem.dictionary @ x
     data_term = 0.5 * float(np.linalg.norm(residual) ** 2)
-    return data_term + lam * float(np.sum(np.linalg.norm(np.atleast_2d(x), axis=1)))
-
-
-def _reference_step(problem, solver):
-    if solver.step_size is not None:
-        return solver.step_size
-    return 1.0 / float(np.linalg.norm(problem.dictionary, 2) ** 2)
+    return data_term + lam * float(np.sum(np.linalg.norm(x, axis=1)))
 
 
 def _reference_divergence(trace, increases, f0):
@@ -101,12 +93,12 @@ def _reference_estimate(x, iterations, trace):
 
 
 def ista_reference(problem, solver):
-    """ISTA written out on its own: the objective recomputes its residual
-    and the step size comes from an SVD per solve."""
+    """ISTA written out on its own: the objective recomputes its residual.
+    Like the solver, it takes lam and the step size from `solver`."""
     s = problem.dictionary
     y = problem.observations
     lam = solver.lam
-    mu = _reference_step(problem, solver)
+    mu = solver.step_size
     x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     trace = [_reference_objective(problem, x, lam)]
     increases = 0
@@ -128,7 +120,7 @@ def fista_reference(problem, solver):
     s = problem.dictionary
     y = problem.observations
     lam = solver.lam
-    mu = _reference_step(problem, solver)
+    mu = solver.step_size
     x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     z = x.copy()
     t = 1.0

@@ -19,7 +19,15 @@ from oracles import (
     unit_column_dictionary,
 )
 
-from fedad.baselines import MmvProblem, SolverConfig, amp, fista, ista, row_soft_threshold
+from fedad.baselines import (
+    MmvProblem,
+    SolverConfig,
+    amp,
+    default_step_size,
+    fista,
+    ista,
+    row_soft_threshold,
+)
 from fedad.cli import config_from_dict, parse_config, run_experiment
 from fedad.evaluation import (
     ScoredTrials,
@@ -77,8 +85,8 @@ def test_criterion_1_gradient_correctness():
             if np.min(np.abs(params.w1 @ x + params.b1)) > 1e-3:
                 break
         labels = (rng.random(k) < 0.4).astype(np.int8)
-        analytic = backward(params, x, labels).flat
-        numeric = finite_difference_grads(params, x, labels, step=1e-5)
+        analytic = backward(params, x[None], labels[None]).flat
+        numeric = finite_difference_grads(params, x[None], labels[None], step=1e-5)
         rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - started
@@ -96,7 +104,9 @@ def test_criterion_2_solver_oracle_equivalence():
     y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     prob = MmvProblem(dictionary=q, observations=y, rho=1.0)
     closed = row_soft_threshold(q.conj().T @ y, 0.2)
-    solver = SolverConfig(lam=0.2, max_iters=500, tol=1e-15)
+    solver = SolverConfig(
+        lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
+    )
     for solve in (ista, fista):
         est = solve(prob, solver)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
@@ -110,7 +120,9 @@ def test_criterion_2_solver_oracle_equivalence():
     noise = 0.05 * (rng.standard_normal((ell, c)) + 1j * rng.standard_normal((ell, c)))
     prob = MmvProblem(dictionary=a, observations=a @ x + noise, rho=1.0)
     lam = 0.05 * np.sqrt(2 * np.log(k)) * np.sqrt(c)
-    cfg = SolverConfig(lam=lam, max_iters=4000, tol=0.0)
+    cfg = SolverConfig(
+        lam=lam, max_iters=4000, tol=0.0, step_size=default_step_size(prob.dictionary)
+    )
     est_i = ista(prob, cfg)
     est_f = fista(prob, cfg)
     f_star = min(est_i.objective_trace.min(), est_f.objective_trace.min())

@@ -60,24 +60,24 @@ def sparse_instance():
 
 class TestRowSoftThreshold:
     def test_full_shrinkage(self):
-        out = row_soft_threshold(np.array([3.0, 4.0]), 5.0)
+        out = row_soft_threshold(np.array([[3.0, 4.0]]), 5.0)[0]
         assert np.array_equal(out, np.zeros(2))
 
     def test_partial_shrinkage(self):
-        out = row_soft_threshold(np.array([3.0, 4.0]), 2.5)
+        out = row_soft_threshold(np.array([[3.0, 4.0]]), 2.5)[0]
         assert np.allclose(out, [1.5, 2.0], rtol=1e-15)
 
     def test_tau_zero_is_identity(self):
         row = np.array([1.0 + 2.0j, -0.5j])
-        assert np.array_equal(row_soft_threshold(row, 0.0), row)
+        assert np.array_equal(row_soft_threshold(row[None], 0.0)[0], row)
 
     def test_zero_row_maps_to_zero(self):
-        assert not row_soft_threshold(np.zeros(3), 0.0).any()
-        assert not row_soft_threshold(np.zeros(3), 1.0).any()
+        assert not row_soft_threshold(np.zeros((1, 3)), 0.0).any()
+        assert not row_soft_threshold(np.zeros((1, 3)), 1.0).any()
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            row_soft_threshold(np.ones(2), -0.1)
+            row_soft_threshold(np.ones((1, 2)), -0.1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -88,7 +88,7 @@ class TestRowSoftThreshold:
     def test_nonexpansive_property(self, seed, tau, width):
         rng = np.random.default_rng(seed)
         row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        out = row_soft_threshold(row, tau)
+        out = row_soft_threshold(row[None], tau)[0]
         norm_in, norm_out = np.linalg.norm(row), np.linalg.norm(out)
         assert norm_out <= norm_in + 1e-12
         if norm_in <= tau:
@@ -123,7 +123,9 @@ class TestLassoObjective:
 class TestIsta:
     def test_scalar_closed_form(self):
         prob = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
-        est = ista(prob, SolverConfig(lam=0.3, max_iters=100, tol=1e-14))
+        est = ista(prob, SolverConfig(
+            lam=0.3, max_iters=100, tol=1e-14, step_size=default_step_size(prob.dictionary)
+        ))
         # Orthonormal scalar LASSO solves to soft(0.8, 0.3) = 0.5.
         assert abs(est.x_hat[0, 0] - 0.5) < 1e-6
 
@@ -133,7 +135,9 @@ class TestIsta:
         y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         prob = make_problem(a, y)
         lam = 10.0 * np.max(np.linalg.norm(a.conj().T @ y, axis=1))
-        est = ista(prob, SolverConfig(lam=lam, max_iters=50, tol=0.0))
+        est = ista(prob, SolverConfig(
+            lam=lam, max_iters=50, tol=0.0, step_size=default_step_size(prob.dictionary)
+        ))
         assert not est.x_hat.any()
         assert not est.activity_stat.any()
 
@@ -142,7 +146,9 @@ class TestIsta:
         q = orthonormal_dictionary(rng, 6)
         y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         prob = make_problem(q, y)
-        est = ista(prob, SolverConfig(lam=0.2, max_iters=500, tol=1e-15))
+        est = ista(prob, SolverConfig(
+            lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
+        ))
         closed = row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
@@ -151,7 +157,9 @@ class TestIsta:
         a = unit_column_dictionary(rng, 10, 25)
         y = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
         prob = make_problem(a, y)
-        est = ista(prob, SolverConfig(lam=0.3, max_iters=300, tol=0.0))
+        est = ista(prob, SolverConfig(
+            lam=0.3, max_iters=300, tol=0.0, step_size=default_step_size(prob.dictionary)
+        ))
         trace = est.objective_trace
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(np.abs(trace[:-1]), 1.0))
 
@@ -164,16 +172,13 @@ class TestIsta:
         with pytest.raises(SolverDivergenceError):
             ista(prob, SolverConfig(lam=0.1, max_iters=200, tol=0.0, step_size=bad))
 
-    def test_unresolved_lambda_rejected(self):
-        prob = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
-        with pytest.raises(ValueError, match="lam"):
-            ista(prob, SolverConfig(max_iters=10))
-
 
 class TestFista:
     def test_same_fixed_point_scalar(self):
         prob = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
-        est = fista(prob, SolverConfig(lam=0.3, max_iters=100, tol=1e-14))
+        est = fista(prob, SolverConfig(
+            lam=0.3, max_iters=100, tol=1e-14, step_size=default_step_size(prob.dictionary)
+        ))
         assert abs(est.x_hat[0, 0] - 0.5) < 1e-6
 
     def test_orthonormal_closed_form(self):
@@ -181,7 +186,9 @@ class TestFista:
         q = orthonormal_dictionary(rng, 5)
         y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         prob = make_problem(q, y)
-        est = fista(prob, SolverConfig(lam=0.2, max_iters=500, tol=1e-15))
+        est = fista(prob, SolverConfig(
+            lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
+        ))
         closed = row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
@@ -189,7 +196,9 @@ class TestFista:
         # On a seeded 40x100 instance FISTA reaches objective gap 1e-6 in
         # no more iterations than ISTA, and their finals agree.
         prob, lam = sparse_instance()
-        solver = SolverConfig(lam=lam, max_iters=3000, tol=0.0)
+        solver = SolverConfig(
+            lam=lam, max_iters=3000, tol=0.0, step_size=default_step_size(prob.dictionary)
+        )
         est_i = ista(prob, solver)
         est_f = fista(prob, solver)
         f_star = min(est_i.objective_trace.min(), est_f.objective_trace.min())
@@ -214,8 +223,14 @@ class TestProximalGradientOracle:
     def test_bit_identical_to_reference(self, solver_fn, reference, case):
         prob, lam = sparse_instance()
         solver = {
-            "early_stop": SolverConfig(lam=lam, max_iters=3000, tol=1e-8),
-            "full_budget": SolverConfig(lam=lam, max_iters=150, tol=0.0),
+            "early_stop": SolverConfig(
+                lam=lam, max_iters=3000, tol=1e-8,
+                step_size=default_step_size(prob.dictionary),
+            ),
+            "full_budget": SolverConfig(
+                lam=lam, max_iters=150, tol=0.0,
+                step_size=default_step_size(prob.dictionary),
+            ),
             "explicit_step": SolverConfig(
                 lam=lam, max_iters=3000, tol=1e-8,
                 step_size=0.7 / np.linalg.norm(prob.dictionary, 2) ** 2,
@@ -312,7 +327,9 @@ class TestStatisticSeparation:
             rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         ) / np.sqrt(2)
         prob = make_problem(q, q @ x)
-        solver = SolverConfig(lam=0.05, max_iters=300, tol=1e-14)
+        solver = SolverConfig(
+            lam=0.05, max_iters=300, tol=1e-14, step_size=default_step_size(prob.dictionary)
+        )
         est = {"ista": ista, "fista": fista}.get(solver_name, amp)(prob, solver)
         active_stats = est.activity_stat[active]
         inactive_stats = np.delete(est.activity_stat, active)

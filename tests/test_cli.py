@@ -157,12 +157,21 @@ class TestRunExperiment:
     def test_checkpoint_emission(self, tmp_path):
         cfg = smoke_config(tmp_path, emit=["checkpoints"])
         written = emit_results(run_experiment(cfg), cfg)
-        from fedad.federation import deserialize_update
+        from fedad.federation import deserialize_update, run_training
+        from fedad.rng import substream
+        from fedad.scenario import build_scenario
 
         blob = written[0].read_bytes()
         rnd, update = deserialize_update(blob)
         assert rnd == cfg.federation.rounds
+        assert (update.weight, update.ap_index) == (1.0, 0)
         assert update.params.w2.shape == (4, 8)
+        # The checkpoint is the trained global model, bit for bit.
+        trained, _ = run_training(
+            build_scenario(cfg.scenario), cfg.federation,
+            substream(cfg.scenario.master_seed, "federation"),
+        )
+        assert np.array_equal(update.params.flat, trained.flat)
 
     @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
     def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch):
@@ -177,6 +186,7 @@ class TestRunExperiment:
             amp,
             colocate,
             default_lambda,
+            default_step_size,
             fista,
             ista,
         )
@@ -213,7 +223,10 @@ class TestRunExperiment:
                     np.concatenate(list(received), axis=1),
                     sc.tx_power,
                 )
-                expected.append(solve(problem, solver).activity_stat)
+                resolved = dataclasses.replace(
+                    solver, step_size=default_step_size(problem.dictionary)
+                )
+                expected.append(solve(problem, resolved).activity_stat)
             assert np.any(results[name].trials.scores > 0)
             assert np.array_equal(results[name].trials.scores, np.concatenate(expected))
 
@@ -290,7 +303,10 @@ class TestMainEntry:
         assert main(["validate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "number",
+        ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="401-digits")],
+    )
     @pytest.mark.parametrize(
         "template, where",
         [('{"solver": {"tol": %s}}', "solver: tol"),
@@ -298,7 +314,8 @@ class TestMainEntry:
         ids=["tol", "tx_power"],
     )
     def test_validate_rejects_non_finite_numbers(self, tmp_path, capsys, number, template, where):
-        # Python's json module reads these bare words as float values.
+        # Python's json module reads the bare words as float values; the
+        # 401-digit integer is beyond the float range.
         path = tmp_path / "config.json"
         path.write_text(template % number)
         assert main(["validate", "--config", str(path)]) == 2

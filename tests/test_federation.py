@@ -153,6 +153,12 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # One such weight would turn every aggregated parameter into NaN.
+        with pytest.raises(ValueError, match="weight must be finite"):
+            LocalUpdate(params=scalar_params(1.0), weight=weight, ap_index=0)
+
 
 class TestServerStep:
     def test_plain_average_pass_through(self):
@@ -330,6 +336,12 @@ class TestUpdateWire:
         with pytest.raises(ValueError):
             deserialize_update(b"XXXX" + blob[4:])
 
+    def test_nan_weight_blob_rejected(self, small_config):
+        blob = bytearray(serialize_update(self._update(small_config), 0))
+        blob[16:24] = struct.pack("<d", np.nan)  # the header's f64 weight
+        with pytest.raises(ValueError, match="weight must be finite"):
+            deserialize_update(bytes(blob))
+
     def test_schema_rejects_what_does_not_deserialize(self, small_config):
         # A foreign magic, a header followed by too few body bytes, a body
         # one parameter longer than the header's dimensions, and blobs
@@ -346,7 +358,8 @@ class TestHeldoutBce:
             small_config, small_artifacts.beta, small_artifacts.pilots, 4,
             substream(2, "data"),
         )
-        zeros = init_params(small_config, substream(0, "init")).like()
+        template = init_params(small_config, substream(0, "init"))
+        zeros = template.like(np.zeros_like(template.flat))
         got = heldout_bce(zeros, ds, small_artifacts.beta, small_config.cluster_size)
         assert got == pytest.approx(np.log(2.0), rel=1e-12)
 
@@ -364,7 +377,7 @@ class TestScoreEvents:
             [forward(params, ds.features[:, ap])[0] for ap in range(small_config.num_aps)]
         )
         assert fused.shape == ds.labels.shape
-        for i in range(ds.n_samples):
+        for i in range(ds.features.shape[0]):
             expected = fuse_cluster_scores(per_ap[:, i], small_artifacts.beta, cluster_size)
             assert np.array_equal(fused[i], expected)
 

@@ -85,37 +85,39 @@ class TestInit:
 class TestForward:
     def test_zero_params_give_half(self):
         cfg = tiny_config()
-        zeros = init_params(cfg, substream(0, "init")).like()
-        scores, _ = forward(zeros, np.ones(cfg.feature_dim))
+        template = init_params(cfg, substream(0, "init"))
+        zeros = template.like(np.zeros_like(template.flat))
+        scores, _ = forward(zeros, np.ones((1, cfg.feature_dim)))
         assert np.all(scores == 0.5)
 
     def test_saturated_bias(self):
         cfg = tiny_config()
-        p = init_params(cfg, substream(0, "init")).like()
+        p = init_params(cfg, substream(0, "init"))
+        p = p.like(np.zeros_like(p.flat))
         b2 = p.b2.copy()
         b2[1] = 20.0
         p = SlpParams(w1=p.w1, b1=p.b1, w2=p.w2, b2=b2)
-        scores, _ = forward(p, np.zeros(cfg.feature_dim))
-        assert scores[1] > 0.9999
+        scores, _ = forward(p, np.zeros((1, cfg.feature_dim)))
+        assert scores[0, 1] > 0.9999
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(123)
         params, x, _ = random_well_conditioned_instance(rng, v=3, k=2, f=4)
-        scores, _ = forward(params, x)
-        assert np.allclose(scores, loop_forward(params, x), rtol=1e-12, atol=0)
+        scores, _ = forward(params, x[None])
+        assert np.allclose(scores[0], loop_forward(params, x), rtol=1e-12, atol=0)
 
     def test_scores_in_open_interval(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             params, x, _ = random_well_conditioned_instance(rng, v=5, k=4, f=6)
-            scores, _ = forward(params, x)
+            scores, _ = forward(params, x[None])
             assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_dimension_mismatch_raises(self):
         cfg = tiny_config()
         p = init_params(cfg, substream(0, "init"))
         with pytest.raises(ValueError, match="feature length"):
-            forward(p, np.zeros(cfg.feature_dim + 1))
+            forward(p, np.zeros((1, cfg.feature_dim + 1)))
 
 
 class TestBceLoss:
@@ -140,8 +142,9 @@ class TestBceLoss:
 class TestBackward:
     def test_zero_params_all_zero_labels(self):
         cfg = tiny_config(v=4, k=5)
-        zeros = init_params(cfg, substream(0, "init")).like()
-        grads = backward(zeros, np.ones(cfg.feature_dim), np.zeros(5, dtype=np.int8))
+        template = init_params(cfg, substream(0, "init"))
+        zeros = template.like(np.zeros_like(template.flat))
+        grads = backward(zeros, np.ones((1, cfg.feature_dim)), np.zeros((1, 5), dtype=np.int8))
         # Fused delta (0.5 - 0) / K lands directly on the output bias.
         assert np.allclose(grads.b2, 0.5 / 5, rtol=1e-15)
 
@@ -153,8 +156,8 @@ class TestBackward:
             k = int(rng.integers(1, 5))
             f = int(rng.integers(2, 7))
             params, x, labels = random_well_conditioned_instance(rng, v, k, f)
-            analytic = backward(params, x, labels).flat
-            numeric = finite_difference_grads(params, x, labels)
+            analytic = backward(params, x[None], labels[None]).flat
+            numeric = finite_difference_grads(params, x[None], labels[None])
             scale = np.maximum(np.abs(numeric), 1e-6)
             worst = max(worst, np.max(np.abs(analytic - numeric) / scale))
         assert worst < 1e-4
@@ -162,7 +165,7 @@ class TestBackward:
     def test_duplicate_batch_equals_single(self):
         rng = np.random.default_rng(5)
         params, x, labels = random_well_conditioned_instance(rng, 3, 2, 4)
-        single = backward(params, x, labels)
+        single = backward(params, x[None], labels[None])
         batch = backward(params, np.tile(x, (4, 1)), np.tile(labels, (4, 1)))
         assert np.allclose(single.flat, batch.flat, rtol=1e-12)
 
@@ -173,7 +176,7 @@ class TestAdam:
         p = init_params(cfg, substream(1, "init"))
         before = p.flat.copy()
         state = init_adam(p)
-        p2, state2 = adam_step(p, p.like(), state)
+        p2, state2 = adam_step(p, p.like(np.zeros_like(p.flat)), state)
         assert np.array_equal(p2.flat, before)
         assert state2.step_count == 1
 
