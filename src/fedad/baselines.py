@@ -112,16 +112,32 @@ def row_soft_threshold(rows: np.ndarray, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    out = rows.astype(np.result_type(rows, np.float64))
+    _shrink_rows(out, tau)
+    return out
+
+
+def _shrink_rows(rows: np.ndarray, tau: float) -> np.ndarray:
+    """row_soft_threshold in place on a float or complex 2-D stack the
+    caller owns; returns the mask of kept rows, those of norm > tau.
+
+    A kept row stays nonzero. Its norm reads 0 only if its squared entries
+    underflow, which takes norms near 1e-154 or below."""
     norms = _row_norms(rows)
-    scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
-    return rows * scale[:, None]
+    kept = norms > tau
+    # Kept rows' norms exceed tau, so flooring the divisor at tau changes
+    # none of their quotients; it keeps those of dropped rows from
+    # overflowing.
+    divisor = np.maximum(norms, max(tau, 1e-300))
+    rows *= np.where(kept, 1.0 - tau / divisor, 0.0)[:, None]
+    return kept
 
 
 def _objective(residual: np.ndarray, x: np.ndarray, lam: float) -> float:
     """The LASSO objective 0.5 * ||Y - S X||_F^2 + lam * sum_k ||row k of X||_2
     of the 2-D estimate x, given its residual Y - S X."""
     data_term = 0.5 * float(_frobenius(residual) ** 2)
-    return data_term + lam * float(np.sum(_row_norms(x)))
+    return data_term + lam * float(np.add.reduce(_row_norms(x)))
 
 
 # The two norms below are the expressions np.linalg.norm evaluates for
@@ -205,8 +221,11 @@ def _proximal_gradient(
     increases = 0
     iterations = 0
     for _ in range(solver.max_iters):
-        z_residual = y - s @ z if accelerate else residual
-        x_new = row_soft_threshold(z + mu * (s_h @ z_residual), mu * lam)
+        # The gradient step Z + mu * S^H (Y - S Z), formed and shrunk in place.
+        x_new = s_h @ (y - s @ z if accelerate else residual)
+        x_new *= mu
+        x_new += z
+        _shrink_rows(x_new, mu * lam)
         if accelerate:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             z = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -251,6 +270,13 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     The per-iteration threshold is alpha * sqrt(||R||_F^2 / L), the rms
     row norm of the residual, which reduces to the classic scalar rule
     for a single observation column. The trace records residual norms.
+
+    The Onsager term's support size is the number of rows the shrink
+    kept. Divergence is read off the residual norm: a non-finite entry
+    of X reaches the residual through A X, as every column of A has unit
+    norm, so SolverDivergenceError is raised when ||R||_F is not finite.
+    That includes a finite residual whose squared norm overflows, which
+    takes entries above about 1e153.
     """
     a = problem.dictionary / np.sqrt(problem.rho)
     y = problem.observations
@@ -263,12 +289,14 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     trace = []
     for _ in range(solver.amp_iters):
         tau = alpha * np.sqrt(residual_norm ** 2 / ell)
-        x = row_soft_threshold(x + a_h @ residual, tau)
-        support = int(np.sum(_row_norms(x) > 0))
+        x_new = a_h @ residual
+        x_new += x
+        support = int(np.count_nonzero(_shrink_rows(x_new, tau)))
+        x = x_new
         residual = y - a @ x + (support / ell) * residual
-        if not np.all(np.isfinite(residual)) or not np.all(np.isfinite(x)):
-            raise SolverDivergenceError("AMP produced non-finite values")
         residual_norm = _frobenius(residual)
+        if not np.isfinite(residual_norm):
+            raise SolverDivergenceError("AMP produced non-finite values")
         trace.append(float(residual_norm))
     x_hat = x / np.sqrt(problem.rho)
     return SparseEstimate(

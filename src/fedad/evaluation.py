@@ -131,9 +131,10 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
     conventions: (a complex MAC counted as 1, a complex MAC counted as 4
     real MACs).
 
-    FL is one real forward pass at every AP, the same under both. ISTA,
-    FISTA and AMP do two L x K by K x (M*N) complex products per
-    iteration on the centralized antenna stack, priced at `iters`.
+    FL is one real forward pass at every AP, the same under both. ISTA
+    and AMP do two L x K by K x (M*N) complex products per iteration on
+    the centralized antenna stack, and FISTA three (its momentum point
+    needs a residual of its own); all are priced at `iters`.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
@@ -143,5 +144,6 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
     if detector not in ("ista", "fista", "amp"):
         raise ValueError(f"no MAC model for detector {detector!r}")
     n_total = config.num_aps * config.antennas_per_ap
-    complex_macs = iters * 2 * config.pilot_len * config.num_devices * n_total
+    products = 3 if detector == "fista" else 2
+    complex_macs = iters * products * config.pilot_len * config.num_devices * n_total
     return complex_macs, 4 * complex_macs

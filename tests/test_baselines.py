@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _reference_row_soft_threshold,
     amp_reference,
     exhaustive_ls_support,
     fista_reference,
@@ -17,6 +20,7 @@ from fedad.baselines import (
     SolverDivergenceError,
     SparseEstimate,
     _objective,
+    _shrink_rows,
     amp,
     colocate,
     default_lambda,
@@ -28,6 +32,7 @@ from fedad.baselines import (
     row_soft_threshold,
 )
 from fedad.channel import build_dataset, received_from_features
+from fedad.cli import parse_config
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario
 
@@ -93,6 +98,50 @@ class TestRowSoftThreshold:
         assert norm_out <= norm_in + 1e-12
         if norm_in <= tau:
             assert not out.any()
+
+
+class TestShrinkRows:
+    """The in-place shrink that the solvers and row_soft_threshold share."""
+
+    # Entries span 1e-100 to 1e100: inside it, no squared norm underflows
+    # to 0 or overflows to inf, in the shrink or in np.linalg.norm.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 8),
+        width=st.integers(1, 6),
+        is_complex=st.booleans(),
+        exponent=st.floats(-100.0, 100.0),
+        zero_frac=st.floats(0.0, 1.0),
+        tau_rule=st.sampled_from(["zero", "row_norm", "scaled"]),
+        tau_scale=st.floats(0.0, 3.0),
+    )
+    def test_matches_reference(
+        self, seed, n_rows, width, is_complex, exponent, zero_frac, tau_rule, tau_scale
+    ):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_rows, width))
+        if is_complex:
+            rows = rows + 1j * rng.standard_normal((n_rows, width))
+        rows *= 10.0**exponent
+        rows[rng.random(n_rows) < zero_frac] = 0.0
+        norms = np.linalg.norm(rows, axis=1)
+        tau = {
+            "zero": 0.0,
+            "row_norm": norms[rng.integers(n_rows)],
+            "scaled": tau_scale * 10.0**exponent,
+        }[tau_rule]
+        # The reference's discarded quotient tau / 1e-300 overflows on zero
+        # rows once tau exceeds about 1.8e8; the shrink must not warn.
+        with np.errstate(over="ignore"):
+            expected = _reference_row_soft_threshold(rows, tau)
+        out = rows.copy()
+        kept = _shrink_rows(out, tau)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(kept, norms > tau)
+        # The support AMP counted before it read the mask.
+        assert np.count_nonzero(kept) == np.sum(np.linalg.norm(out, axis=1) > 0)
 
 
 class TestLassoObjective:
@@ -312,6 +361,19 @@ class TestAmp:
         with pytest.raises(SolverDivergenceError):
             amp(prob, SolverConfig(lam=0.0))
 
+    @pytest.mark.parametrize("solve", [amp, amp_reference], ids=["amp", "reference"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_one_non_finite_entry_raises(self, solve, bad):
+        # amp reads divergence off the residual norm alone; one bad entry
+        # must reach it. The inf case passes through inf - inf and inf * 0,
+        # which numpy reports as invalid values; those are expected here.
+        rng = np.random.default_rng(10)
+        a = unit_column_dictionary(rng, 4, 7)
+        y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        y[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(SolverDivergenceError):
+            solve(make_problem(a, y), SolverConfig())
+
 
 class TestStatisticSeparation:
     @pytest.mark.parametrize("solver_name", ["ista", "fista", "amp"])
@@ -476,6 +538,39 @@ class TestResolveSolver:
         solver = SolverConfig(lam=0.0, amp_alpha=0.0)
         got = resolve_solver(solver, build_scenario(self.CONFIG))
         assert (got.lam, got.amp_alpha) == (0.0, 0.0)
+
+
+class TestDetectAtDeskShapes:
+    """detect on desk events (L = 20, K = 40, 16 stacked antennas) against
+    a per-event loop over the stand-alone references: the stopping
+    decisions at tol 1e-8 must fall on the same iteration."""
+
+    @pytest.mark.parametrize(
+        "detector, reference",
+        [("ista", ista_reference), ("fista", fista_reference), ("amp", amp_reference)],
+    )
+    def test_matches_per_event_reference_loop(self, detector, reference):
+        config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+        cfg = config.scenario
+        art = build_scenario(cfg)
+        events = build_dataset(cfg, art.beta, art.pilots, 20, substream(3, "desk-events"))
+        stats, iters = detect(detector, config.solver, art, events)
+
+        solver = resolve_solver(config.solver, art)
+        dictionary = np.sqrt(cfg.tx_power) * art.pilots
+        received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
+        refs = [
+            reference(
+                make_problem(dictionary, np.concatenate(list(event), axis=1), cfg.tx_power),
+                solver,
+            )
+            for event in received
+        ]
+        assert np.array_equal(stats, np.stack([ref.activity_stat for ref in refs]))
+        assert iters == max(ref.iterations_used for ref in refs)
+        if detector != "amp":
+            # Some events stop on tol, short of the budget.
+            assert min(ref.iterations_used for ref in refs) < solver.max_iters
 
 
 class TestColocate:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedad import baselines
+from fedad.baselines import MmvProblem, SolverConfig, default_lambda, default_step_size
 from fedad.evaluation import (
     ROC_MAX_POINTS,
     ScoredTrials,
@@ -14,6 +16,25 @@ from fedad.evaluation import (
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig
 from fedad.slp import init_params
+
+
+class _CountingDictionary(np.ndarray):
+    """A dictionary that tallies the matrix products it takes part in and
+    their complex MACs. Transposes and elementwise results (conjugate,
+    rescaling) stay counting; products come back as plain arrays."""
+
+    products = 0
+    macs = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if ufunc is np.matmul:
+            (m, k), n = inputs[0].shape, inputs[1].shape[1]
+            _CountingDictionary.products += 1
+            _CountingDictionary.macs += m * k * n
+            return result
+        return result.view(_CountingDictionary) if isinstance(result, np.ndarray) else result
 
 
 def trials(scores, truths):
@@ -144,13 +165,50 @@ class TestMacOracle:
         params = init_params(small_config, substream(3, "init"))
         assert slp_macs_per_ap(small_config) == params.w1.size + params.w2.size
 
-    @pytest.mark.parametrize("detector", ["ista", "fista", "amp"])
+    @pytest.mark.parametrize("detector", ["ista", "amp"])
     @pytest.mark.parametrize("iters", [0, 1, 7])
     def test_solver_macs_are_two_dictionary_products(self, small_artifacts, detector, iters):
         cfg = small_artifacts.config
         n_total = cfg.num_aps * cfg.antennas_per_ap
         complex_macs = iters * 2 * small_artifacts.pilots.size * n_total
         assert detector_macs(detector, cfg, iters) == (complex_macs, 4 * complex_macs)
+
+    @pytest.mark.parametrize("iters", [0, 1, 7])
+    def test_fista_macs_are_three_dictionary_products(self, small_artifacts, iters):
+        cfg = small_artifacts.config
+        n_total = cfg.num_aps * cfg.antennas_per_ap
+        complex_macs = iters * 3 * small_artifacts.pilots.size * n_total
+        assert detector_macs("fista", cfg, iters) == (complex_macs, 4 * complex_macs)
+
+    @pytest.mark.parametrize("detector, products", [("ista", 2), ("fista", 3), ("amp", 2)])
+    def test_solver_macs_match_the_products_a_solve_runs(
+        self, small_artifacts, detector, products
+    ):
+        cfg = small_artifacts.config
+        plain = np.sqrt(cfg.tx_power) * small_artifacts.pilots
+        rng = np.random.default_rng(6)
+        n_total = cfg.num_aps * cfg.antennas_per_ap
+        observations = np.sqrt(cfg.tx_power) * (
+            rng.standard_normal((cfg.pilot_len, n_total))
+            + 1j * rng.standard_normal((cfg.pilot_len, n_total))
+        )
+        problem = MmvProblem(plain.view(_CountingDictionary), observations, cfg.tx_power)
+        solve = getattr(baselines, detector)
+
+        def tally(iters):
+            # tol = 0 runs every iteration of the budget.
+            solver = SolverConfig(
+                lam=default_lambda(cfg), max_iters=iters, tol=0.0,
+                step_size=default_step_size(plain), amp_iters=iters,
+            )
+            _CountingDictionary.products = _CountingDictionary.macs = 0
+            assert solve(problem, solver).iterations_used == iters
+            return _CountingDictionary.products, _CountingDictionary.macs
+
+        # The second iteration's share, without the set-up residual.
+        (products_1, macs_1), (products_2, macs_2) = tally(1), tally(2)
+        assert products_2 - products_1 == products
+        assert detector_macs(detector, cfg, 1) == (macs_2 - macs_1, 4 * (macs_2 - macs_1))
 
     @pytest.mark.parametrize("iters", [0, 1, 50])
     def test_fl_counts_agree_under_both_conventions(self, small_config, iters):
