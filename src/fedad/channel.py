@@ -1,6 +1,13 @@
 """Small-scale fading, per-AP received-signal synthesis, and labeled
 dataset construction.
 
+Stream contract (`build_dataset`): event i draws from the i-th child
+spawned from the dataset's stream, in this order: K activity uniforms,
+then one block of 2*M*K*N + 2*M*L*N standard normals, read as the real
+parts of the fading h (M, K, N), its imaginary parts, the real parts of
+the noise (M, L, N) and its imaginary parts, each row-major. Every
+shipped output that depends on event synthesis depends on this order.
+
 Feature encoding (`features_from_received`): each AP's L x N observation
 is flattened column-major (antenna by antenna) and the real parts are
 concatenated ahead of the imaginary parts, giving a lossless real vector
@@ -34,37 +41,6 @@ class Dataset:
         return self.features[:, ap_index, :], self.labels
 
 
-def draw_channels(
-    beta: np.ndarray, config: ScenarioConfig, stream: np.random.Generator
-) -> np.ndarray:
-    """Composite gains g = sqrt(beta) * h, shaped (M, K, N), with i.i.d.
-    CN(0,1) small-scale fading h."""
-    shape = (config.num_aps, config.num_devices, config.antennas_per_ap)
-    h = (stream.standard_normal(shape) + 1j * stream.standard_normal(shape)) / _SQRT2
-    return np.sqrt(beta)[:, :, None] * h
-
-
-def synthesize_received(
-    activity: np.ndarray,
-    gains: np.ndarray,
-    pilots: np.ndarray,
-    config: ScenarioConfig,
-    noise_stream: np.random.Generator,
-) -> np.ndarray:
-    """Received signal y (M, L, N): superposition of the active devices'
-    scaled pilots through their composite gains (M, K, N), plus
-    CN(0, noise_var) AWGN."""
-    coef = activity.astype(np.float64) * np.sqrt(config.tx_power)   # (K,)
-    active = np.flatnonzero(coef)                # silent devices add exact zeros
-    weighted = coef[active, None] * gains[:, active]                # (M, A, N)
-    signal = pilots[:, active] @ weighted                           # (M, L, N)
-    shape = signal.shape
-    noise = (
-        noise_stream.standard_normal(shape) + 1j * noise_stream.standard_normal(shape)
-    ) * np.sqrt(config.noise_var / 2.0)
-    return signal + noise
-
-
 def features_from_received(received: np.ndarray) -> np.ndarray:
     """Flatten L x N observations to real vectors of length 2*L*N, over any
     leading batch axes: (..., L, N) observations map to (..., 2*L*N)
@@ -90,19 +66,34 @@ def build_dataset(
 ) -> Dataset:
     """Generate n_samples labeled uplink events.
 
-    Each event owns an independent child stream (activity, channels, noise
-    drawn in that fixed order), so datasets are reproducible regardless of
-    how callers parallelize. Within an event all APs observe the same
-    transmission, which is what makes per-AP shards non-iid.
+    Each event owns an independent child stream, so datasets are
+    reproducible regardless of how callers parallelize. Within an event all
+    APs observe the same transmission, which is what makes per-AP shards
+    non-iid. The event's received signal is y = sum over active k of
+    sqrt(tx_power) * pilot_k * g_k + CN(0, noise_var) noise, with gains
+    g = sqrt(beta) * h and CN(0,1) fading h; silent devices add nothing,
+    so only the active devices' gains are formed.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples: must be >= 1, got {n_samples}")
-    feat = np.empty((n_samples, config.num_aps, config.feature_dim))
-    labels = np.empty((n_samples, config.num_devices), dtype=np.int8)
+    m, k, n, ell = config.num_aps, config.num_devices, config.antennas_per_ap, config.pilot_len
+    root_beta = np.sqrt(beta)[:, :, None]                           # (M, K, 1)
+    amplitude = np.sqrt(config.tx_power)
+    noise_scale = np.sqrt(config.noise_var / 2.0)
+    feat = np.empty((n_samples, m, config.feature_dim))
+    labels = np.empty((n_samples, k), dtype=np.int8)
     for i, child in enumerate(stream.spawn(n_samples)):
         activity = sample_activity(config, child)
-        gains = draw_channels(beta, config, child)
-        y = synthesize_received(activity, gains, pilots, config, child)
+        draws = child.standard_normal(2 * m * k * n + 2 * m * ell * n)
+        fading = draws[: 2 * m * k * n].reshape(2, m, k, n)       # real, imaginary
+        noise = draws[2 * m * k * n :].reshape(2, m, ell, n)        # real, imaginary
+        coef = activity.astype(np.float64) * amplitude              # (K,)
+        active = np.flatnonzero(coef)
+        h = fading[:, :, active]
+        h = (h[0] + 1j * h[1]) / _SQRT2
+        weighted = coef[active, None] * (root_beta[:, active] * h)  # (M, A, N)
+        signal = pilots[:, active] @ weighted                       # (M, L, N)
+        y = signal + (noise[0] + 1j * noise[1]) * noise_scale
         feat[i] = features_from_received(y)
         labels[i] = activity
     return Dataset(features=feat, labels=labels)

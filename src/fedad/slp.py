@@ -6,12 +6,12 @@ ReLU hidden layer of V units to K sigmoid outputs, one activity
 probability per device. Everything is plain numpy. Parameters live in
 one flat vector (see SlpParams), so an Adam step is a handful of
 in-place vector operations: `adam_step` updates the parameters and the
-optimizer state it is given, while `forward` and `backward` never mutate
-their inputs. Adam's moment decays and epsilon are the fixed constants
-ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, the standard values of Kingma & Ba
-(ICLR 2015) that FedAdam also uses on the server (Reddi et al.,
-"Adaptive Federated Optimization", ICLR 2021); only the learning rate
-is a setting.
+optimizer state it is given, in Kingma & Ba's efficient form, while
+`forward` and `backward` never mutate their inputs. Adam's moment decays
+and epsilon are the fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS,
+the standard values of Kingma & Ba (ICLR 2015) that FedAdam also uses
+on the server (Reddi et al., "Adaptive Federated Optimization", ICLR
+2021); only the learning rate is a setting.
 """
 
 from __future__ import annotations
@@ -151,12 +151,19 @@ def adam_step(
     params: SlpParams, grads: SlpParams, state: AdamState
 ) -> tuple[SlpParams, AdamState]:
     """One bias-corrected Adam update, in place on `params` and `state`,
-    which are returned. The operations run in the order of the textbook
-    form p - lr * (m / bc1) / (sqrt(v / bc2) + eps), so the trajectory is
-    bit-identical to an out-of-place evaluation of it."""
+    which are returned. It runs in Kingma & Ba's efficient form (ICLR
+    2015, end of section 2): both bias corrections fold into the scalars
+    lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_hat = eps * sqrt(1 - beta2^t), and the update is
+    p - (lr_t / (sqrt(v) + eps_hat)) * m. That is the textbook update
+    algebraically; only its rounding differs. One scratch vector serves
+    every full-size intermediate."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    root_bc2 = np.sqrt(1.0 - b2**t)
+    lr_t = state.lr * root_bc2 / (1.0 - b1**t)
+    eps_hat = ADAM_EPS * root_bc2
     g, m, v = grads.flat, state.first_moment, state.second_moment
     tmp = (1.0 - b1) * g
     m *= b1
@@ -165,11 +172,9 @@ def adam_step(
     tmp *= g
     v *= b2
     v += tmp                                        # b2*v + ((1-b2)*g)*g
-    np.divide(m, 1.0 - b1**t, out=tmp)
-    tmp *= state.lr
-    den = v / (1.0 - b2**t)
-    np.sqrt(den, out=den)
-    den += ADAM_EPS
-    tmp /= den
+    np.sqrt(v, out=tmp)
+    tmp += eps_hat
+    np.divide(lr_t, tmp, out=tmp)
+    tmp *= m                                        # lr_t / (sqrt(v) + eps_hat) * m
     params.flat -= tmp
     return params, state

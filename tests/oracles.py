@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from fedad.baselines import SolverDivergenceError, SparseEstimate
-from fedad.channel import draw_channels
+from fedad.channel import Dataset, features_from_received
 from fedad.scenario import sample_activity
 from fedad.slp import bce_loss, forward
 
@@ -39,6 +39,60 @@ def leafwise_adam_step(leaves, grads, first, second, step, lr, beta1, beta2, eps
         for p, m, v in zip(leaves, first, second)
     ]
     return leaves, first, second
+
+
+def efficient_adam_step(leaves, grads, first, second, step, lr, beta1, beta2, eps):
+    """The same Adam step in Kingma & Ba's efficient form (ICLR 2015, end
+    of section 2), out of place and layer by layer: the bias corrections
+    fold into lr_t and eps_hat, and p - (lr_t / (sqrt(v) + eps_hat)) * m."""
+    first = [beta1 * m + (1.0 - beta1) * g for m, g in zip(first, grads)]
+    second = [beta2 * v + (1.0 - beta2) * g * g for v, g in zip(second, grads)]
+    root_bc2 = np.sqrt(1.0 - beta2**step)
+    lr_t = lr * root_bc2 / (1.0 - beta1**step)
+    eps_hat = eps * root_bc2
+    leaves = [
+        p - (lr_t / (np.sqrt(v) + eps_hat)) * m for p, m, v in zip(leaves, first, second)
+    ]
+    return leaves, first, second
+
+
+def draw_channels(beta, config, stream):
+    """Composite gains g = sqrt(beta) * h, shaped (M, K, N), with i.i.d.
+    CN(0,1) small-scale fading h drawn as real parts, then imaginary."""
+    shape = (config.num_aps, config.num_devices, config.antennas_per_ap)
+    h = (stream.standard_normal(shape) + 1j * stream.standard_normal(shape)) / np.sqrt(2.0)
+    return np.sqrt(beta)[:, :, None] * h
+
+
+def synthesize_received(activity, gains, pilots, config, noise_stream):
+    """Received signal y (M, L, N): superposition of the active devices'
+    scaled pilots through their composite gains (M, K, N), plus
+    CN(0, noise_var) AWGN."""
+    coef = activity.astype(np.float64) * np.sqrt(config.tx_power)
+    active = np.flatnonzero(coef)
+    weighted = coef[active, None] * gains[:, active]
+    signal = pilots[:, active] @ weighted
+    shape = signal.shape
+    noise = (
+        noise_stream.standard_normal(shape) + 1j * noise_stream.standard_normal(shape)
+    ) * np.sqrt(config.noise_var / 2.0)
+    return signal + noise
+
+
+def build_dataset_reference(config, beta, pilots, n_samples, stream):
+    """`channel.build_dataset` with each event written out step by step:
+    four separate normal draws, gains for every device, then the
+    active-column superposition and noise."""
+    feat = np.empty((n_samples, config.num_aps, config.feature_dim))
+    labels = np.empty((n_samples, config.num_devices), dtype=np.int8)
+    for i, child in enumerate(stream.spawn(n_samples)):
+        activity = sample_activity(config, child)
+        gains = draw_channels(beta, config, child)
+        feat[i] = features_from_received(
+            synthesize_received(activity, gains, pilots, config, child)
+        )
+        labels[i] = activity
+    return Dataset(features=feat, labels=labels)
 
 
 def received_signals_reference(config, beta, pilots, n_samples, stream):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import received_signals_reference
-
-from fedad.channel import (
-    build_dataset,
+from oracles import (
+    build_dataset_reference,
     draw_channels,
-    features_from_received,
-    received_from_features,
+    received_signals_reference,
     synthesize_received,
 )
+
+from fedad.channel import build_dataset, features_from_received, received_from_features
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario, generate_pilots
 
@@ -22,7 +21,8 @@ def orthonormal_pilots(rng, n):
 
 
 def small_scale_fading(config, stream):
-    """CN(0,1) draws h in draw_channels' order: real parts, then imaginary."""
+    """CN(0,1) draws h in the reference draw_channels' order: real parts,
+    then imaginary."""
     shape = (config.num_aps, config.num_devices, config.antennas_per_ap)
     return (stream.standard_normal(shape) + 1j * stream.standard_normal(shape)) / np.sqrt(2)
 
@@ -230,6 +230,25 @@ class TestBuildDataset:
                     ds.features[i, ap], cfg.pilot_len, cfg.antennas_per_ap
                 )
                 assert np.max(np.abs(back - y[ap])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(area_side_km=0.5, num_aps=8, num_devices=40, pilot_len=20), dict()],
+        ids=["desk", "paper"],
+    )
+    def test_bit_exact_to_step_by_step_reference(self, shape):
+        # The one-block draw split four ways and the active-only gains must
+        # reproduce the event-by-event reference (four draws, every gain)
+        # bit for bit, features and labels alike.
+        cfg = ScenarioConfig(
+            antennas_per_ap=2, cluster_size=4, tx_power=1e12, master_seed=42, **shape
+        )
+        art = build_scenario(cfg)
+        ds = build_dataset(cfg, art.beta, art.pilots, 256, substream(12, "data"))
+        ref = build_dataset_reference(cfg, art.beta, art.pilots, 256, substream(12, "data"))
+        assert np.array_equal(ds.labels, ref.labels)
+        assert np.array_equal(ds.features, ref.features)
+        assert 0 < ds.labels.sum() < ds.labels.size
 
     def test_rejects_empty(self, small_config, small_artifacts):
         with pytest.raises(ValueError):

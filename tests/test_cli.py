@@ -483,6 +483,17 @@ def test_shipped_configs_validate(path, capsys):
     assert capsys.readouterr().out == "config ok\n"
 
 
+def test_shipped_smoke_config_runs_for_any_seed(tmp_path, capsys):
+    # The smoke run must be a seed-independent check: enough evaluation
+    # trials that both classes appear, so its ROC is defined.
+    path = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+    for seed in range(12):
+        out = tmp_path / str(seed)
+        assert main(["run", "--config", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == seed
+    capsys.readouterr()
+
+
 def test_readme_config_table_matches_the_schema():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     documented = set()

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import finite_difference_grads, leafwise_adam_step
+from oracles import efficient_adam_step, finite_difference_grads, leafwise_adam_step
 
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig
@@ -23,6 +24,11 @@ def tiny_config(v=3, k=2, pilot_len=1, antennas=2):
         num_aps=1, antennas_per_ap=antennas, num_devices=k, pilot_len=pilot_len,
         hidden_units=v, cluster_size=1,
     )
+
+
+def desk_config():
+    """One AP of configs/desk.json: V=512, F=80, K=40."""
+    return tiny_config(v=512, k=40, pilot_len=20)
 
 
 def loop_forward(params, x):
@@ -211,33 +217,69 @@ class TestAdam:
         assert np.array_equal(a.flat, b.flat)
 
 
-    def test_in_place_step_matches_leafwise_oracle(self):
-        # Desk shapes (V=512, F=80, K=40): the flat in-place update must
-        # follow the out-of-place, layer-by-layer trajectory bit for bit.
-        cfg = ScenarioConfig(
-            num_aps=1, antennas_per_ap=2, num_devices=40, pilot_len=20,
-            hidden_units=512, cluster_size=1,
-        )
+    @staticmethod
+    def _desk_trajectory(oracle):
+        """40 Adam steps at desk shapes (V=512, F=80, K=40), in place and
+        through `oracle`, on gradients of very different scales per step,
+        as in training; yields both sides after each step, flattened."""
         rng = np.random.default_rng(8)
-        p = init_params(cfg, substream(8, "init"))
+        p = init_params(desk_config(), substream(8, "init"))
         state = init_adam(p, lr=0.02)
         leaves = [leaf.copy() for leaf in (p.w1, p.b1, p.w2, p.b2)]
         first = [np.zeros_like(leaf) for leaf in leaves]
         second = [np.zeros_like(leaf) for leaf in leaves]
+        flat = lambda arrays: np.concatenate([x.ravel() for x in arrays])
         for step in range(1, 41):
-            # Gradients of very different scales per step, as in training.
             grads = p.like(rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 1))
             p, state = adam_step(p, grads, state)
-            leaves, first, second = leafwise_adam_step(
+            leaves, first, second = oracle(
                 leaves, (grads.w1, grads.b1, grads.w2, grads.b2), first, second,
                 step, 0.02, 0.9, 0.999, 1e-8,
             )
-            assert np.array_equal(p.flat, np.concatenate([x.ravel() for x in leaves]))
-            assert np.array_equal(state.first_moment, np.concatenate([x.ravel() for x in first]))
-            assert np.array_equal(
-                state.second_moment, np.concatenate([x.ravel() for x in second])
-            )
+            yield step, (p.flat, state), (flat(leaves), flat(first), flat(second))
         assert state.step_count == 40
+
+    def test_in_place_step_matches_efficient_form_oracle(self):
+        # The flat in-place update must follow the out-of-place,
+        # layer-by-layer efficient-form trajectory bit for bit.
+        for _, (p, state), (leaves, first, second) in self._desk_trajectory(
+            efficient_adam_step
+        ):
+            assert np.array_equal(p, leaves)
+            assert np.array_equal(state.first_moment, first)
+            assert np.array_equal(state.second_moment, second)
+
+    def test_in_place_step_within_rounding_of_textbook_oracle(self):
+        # The efficient form is the textbook update rearranged, so only
+        # rounding separates them. The moments are formed the same way and
+        # stay bit-identical. Each step may round the move (about lr in
+        # size) and the parameter it lands on differently, so after t steps
+        # the gap may reach 4 * eps64 * (max|p| + lr) * t. Measured: at
+        # most 0.87 * eps64 * (max|p| + lr) * t, over gradient seeds 0-15.
+        eps64 = np.finfo(np.float64).eps
+        for step, (p, state), (leaves, first, second) in self._desk_trajectory(
+            leafwise_adam_step
+        ):
+            assert np.array_equal(state.first_moment, first)
+            assert np.array_equal(state.second_moment, second)
+            bound = 4 * eps64 * (np.max(np.abs(leaves)) + 0.02) * step
+            assert np.max(np.abs(p - leaves)) <= bound
+
+    def test_step_allocates_at_most_one_parameter_vector(self):
+        # The step's one scratch vector is its only full-size allocation.
+        p = init_params(desk_config(), substream(8, "init"))
+        grads = p.like(np.random.default_rng(8).normal(size=p.flat.size))
+        state = init_adam(p, lr=0.02)
+        adam_step(p, grads, state)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            adam_step(p, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= p.flat.nbytes + 4096
 
 
 class TestTrainingSanity:
