@@ -1,9 +1,11 @@
 """Federated training orchestration and clustered score fusion.
 
 One round: the CPU broadcasts the global model, every AP runs local
-mini-batch Adam on its own received data, the CPU forms a weighted
-average of the returned parameters and applies its own optimization step
-(plain pass-through or a FedOpt-style Adam on the averaging delta).
+mini-batch Adam on its own received data (in float32; the global model,
+the server step and the wire format stay float64), the CPU forms a
+weighted average of the returned parameters and applies its own
+optimization step (plain pass-through or a FedOpt-style Adam on the
+averaging delta).
 
 At inference the CPU fuses per-AP probabilities per device over the
 cluster of that device's strongest APs.
@@ -88,12 +90,19 @@ def local_train(
     stream: np.random.Generator,
 ) -> LocalUpdate:
     """Train a copy of the global model on one AP's shard for
-    fed.local_epochs epochs (0 returns an unchanged copy). The update is
-    weighted by the shard size, as in federated averaging."""
+    fed.local_epochs epochs, in float32 (mixed precision, as in
+    Micikevicius et al., ICLR 2018): the copy, its Adam moments and the
+    shard are float32, cast once per call. The float64 update is the
+    global plus the float32 trajectory's displacement,
+    global + (p32 - origin) with origin the float32 cast of the global,
+    so 0 epochs return the global bit for bit. The update is weighted by
+    the shard size, as in federated averaging."""
     if features.shape[0] == 0:
         raise ValueError(f"AP {ap_index}: cannot train on an empty shard")
     n = features.shape[0]
-    params = global_params.copy()
+    origin = global_params.flat.astype(np.float32)
+    params = global_params.like(origin.copy())
+    features = features.astype(np.float32)
     state = init_adam(params, lr=fed.local_lr)
     for _ in range(fed.local_epochs):
         order = stream.permutation(n)
@@ -101,7 +110,10 @@ def local_train(
             batch = order[start : start + fed.batch_size]
             grads = backward(params, features[batch], labels[batch])
             params, state = adam_step(params, grads, state)
-    return LocalUpdate(params=params, weight=float(n), ap_index=ap_index)
+    moved = params.flat.astype(np.float64)
+    moved -= origin
+    moved += global_params.flat
+    return LocalUpdate(params=global_params.like(moved), weight=float(n), ap_index=ap_index)
 
 
 def aggregate(updates: list[LocalUpdate]) -> SlpParams:

@@ -7,15 +7,19 @@ probability per device. Everything is plain numpy. Parameters live in
 one flat vector (see SlpParams), so an Adam step is a handful of
 in-place vector operations: `adam_step` updates the parameters and the
 optimizer state it is given, in Kingma & Ba's efficient form, while
-`forward` and `backward` never mutate their inputs. Adam's moment decays
-and epsilon are the fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS,
-the standard values of Kingma & Ba (ICLR 2015) that FedAdam also uses
-on the server (Reddi et al., "Adaptive Federated Optimization", ICLR
-2021); only the learning rate is a setting.
+`forward` and `backward` never mutate their inputs. All three follow the
+dtype of the parameter vector: float64 for the global model and the
+server step, float32 for local training (see federation.local_train),
+with every scalar a Python float so that no pass is widened. Adam's
+moment decays and epsilon are the fixed constants ADAM_BETA1,
+ADAM_BETA2 and ADAM_EPS, the standard values of Kingma & Ba (ICLR 2015)
+that FedAdam also uses on the server (Reddi et al., "Adaptive Federated
+Optimization", ICLR 2021); only the learning rate is a setting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +33,11 @@ ADAM_EPS = 1e-8
 
 
 class SlpParams:
-    """Two dense layers, held as reshaped views into one contiguous f64
-    vector `flat` in wire-format order (w1, b1, w2, b2, each row-major).
-    Also reused for gradients, which share this layout. Build one from its
-    four layers, or wrap an existing vector with `from_flat` or `like`."""
+    """Two dense layers, held as reshaped views into one contiguous vector
+    `flat` in wire-format order (w1, b1, w2, b2, each row-major). Also
+    reused for gradients, which share this layout. Building one from its
+    four layers gives a float64 vector; `from_flat` and `like` wrap an
+    existing vector and keep its dtype."""
 
     def __init__(self, w1, b1, w2, b2) -> None:
         (v, f), k = np.shape(w1), np.size(b2)
@@ -157,11 +162,12 @@ def adam_step(
     eps_hat = eps * sqrt(1 - beta2^t), and the update is
     p - (lr_t / (sqrt(v) + eps_hat)) * m. That is the textbook update
     algebraically; only its rounding differs. One scratch vector serves
-    every full-size intermediate."""
+    every full-size intermediate, in the parameters' dtype: the scalars are
+    Python floats, which do not widen a float32 pass."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    root_bc2 = np.sqrt(1.0 - b2**t)
+    root_bc2 = math.sqrt(1.0 - b2**t)
     lr_t = state.lr * root_bc2 / (1.0 - b1**t)
     eps_hat = ADAM_EPS * root_bc2
     g, m, v = grads.flat, state.first_moment, state.second_moment

@@ -3,6 +3,7 @@ finite-difference references that never touch the implementation paths
 they check."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -44,10 +45,11 @@ def leafwise_adam_step(leaves, grads, first, second, step, lr, beta1, beta2, eps
 def efficient_adam_step(leaves, grads, first, second, step, lr, beta1, beta2, eps):
     """The same Adam step in Kingma & Ba's efficient form (ICLR 2015, end
     of section 2), out of place and layer by layer: the bias corrections
-    fold into lr_t and eps_hat, and p - (lr_t / (sqrt(v) + eps_hat)) * m."""
+    fold into lr_t and eps_hat, and p - (lr_t / (sqrt(v) + eps_hat)) * m.
+    Every scalar is a Python float, so the step runs in the leaves' dtype."""
     first = [beta1 * m + (1.0 - beta1) * g for m, g in zip(first, grads)]
     second = [beta2 * v + (1.0 - beta2) * g * g for v, g in zip(second, grads)]
-    root_bc2 = np.sqrt(1.0 - beta2**step)
+    root_bc2 = math.sqrt(1.0 - beta2**step)
     lr_t = lr * root_bc2 / (1.0 - beta1**step)
     eps_hat = eps * root_bc2
     leaves = [

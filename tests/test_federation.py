@@ -66,11 +66,16 @@ class TestLocalTrain:
         params = init_params(small_config, substream(4, "init"))
         feats, labels = ds.shard(1)
         update = local_train(params, feats, labels, fed_small, 1, substream(5, "sh"))
-        # Manual replay: one epoch over one sample is one fwd/bwd/adam step.
-        grads = backward(params, feats[[0]], labels[[0]])
-        state = init_adam(params, lr=fed_small.local_lr)
-        manual, _ = adam_step(params, grads, state)
-        assert params_equal(update.params, manual)
+        # Manual replay: one epoch over one sample is one float32 fwd/bwd/adam
+        # step from the float32 cast of the global, and the update is the
+        # float64 global plus that step's displacement.
+        origin = params.flat.astype(np.float32)
+        p32 = params.like(origin.copy())
+        grads = backward(p32, feats[[0]].astype(np.float32), labels[[0]])
+        manual, _ = adam_step(p32, grads, init_adam(p32, lr=fed_small.local_lr))
+        expected = params.flat + (manual.flat.astype(np.float64) - origin)
+        assert update.params.flat.dtype == np.float64
+        assert np.array_equal(update.params.flat, expected)
 
     def test_identical_shards_identical_updates(self, small_config, small_artifacts, fed_small):
         ds = build_dataset(

@@ -1,0 +1,53 @@
+"""scripts/output_manifest.py, run end to end on one smoke run so that a
+renamed output or summary field breaks a test, not the script."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_manifest.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("output_manifest", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_manifest_schema_and_compare(tmp_path, capsys):
+    script = load_script()
+    script.RUNS = [("smoke", 0, "cellfree")]
+    out = tmp_path / "manifest.json"
+
+    assert script.main(["--out", str(out), "--work", str(tmp_path / "runs")]) == 0
+
+    manifest = json.loads(out.read_text())
+    assert {"cores", "usable_cores", "blas", "numpy", "python"} <= manifest["machine"].keys()
+    run = manifest["runs"]["smoke_seed0_cellfree"]
+    assert run["exit_code"] == 0
+    assert set(run["files"]) == {
+        "roc_fl_cellfree.csv", "summary.json", "history_fl_cellfree.csv", "model_fl_cellfree.bin",
+    }
+    assert all(len(digest) == 64 for digest in run["files"].values())
+    fl = run["detectors"]["fl"]
+    summary = json.loads((tmp_path / "runs" / "smoke_seed0_cellfree" / "summary.json").read_text())
+    assert fl["auc"] == repr(summary["fl"]["auc"])
+    assert (fl["iters"], fl["macs_complex1"], fl["macs_real4"]) == (
+        summary["fl"]["iters"], summary["fl"]["macs_complex1"], summary["fl"]["macs_real4"],
+    )
+
+    # The masked summary digest ignores the run's timings and output path.
+    assert script.main(["--out", str(tmp_path / "again.json"),
+                        "--work", str(tmp_path / "elsewhere")]) == 0
+    capsys.readouterr()
+    assert script.main(["--compare", str(out), str(tmp_path / "again.json")]) == 0
+    assert capsys.readouterr().out.strip() == "no recorded output moved"
+
+    moved = json.loads(out.read_text())
+    moved["runs"]["smoke_seed0_cellfree"]["detectors"]["fl"]["auc"] = "0.5"
+    (tmp_path / "moved.json").write_text(json.dumps(moved))
+    assert script.main(["--compare", str(out), str(tmp_path / "moved.json")]) == 1
+    assert capsys.readouterr().out.strip() == (
+        f"smoke_seed0_cellfree: fl auc {fl['auc']} -> 0.5"
+    )

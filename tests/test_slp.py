@@ -175,6 +175,23 @@ class TestBackward:
         batch = backward(params, np.tile(x, (4, 1)), np.tile(labels, (4, 1)))
         assert np.allclose(single.flat, batch.flat, rtol=1e-12)
 
+    def test_float32_in_float32_out(self):
+        # Float32 parameters and features keep scores, cached activations
+        # and gradients in float32, within float32 rounding of float64.
+        rng = np.random.default_rng(12)
+        p = init_params(desk_config(), substream(8, "init"))
+        x = rng.normal(size=(32, p.dims[1]))
+        labels = (rng.random((32, p.dims[2])) < 0.1).astype(np.int8)
+        p32 = p.like(p.flat.astype(np.float32))
+        scores, cache = forward(p32, x.astype(np.float32))
+        assert scores.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in cache.values())
+        grads = backward(p32, x.astype(np.float32), labels)
+        assert grads.flat.dtype == np.float32
+        reference = backward(p, x, labels).flat
+        gap = np.linalg.norm(grads.flat - reference)
+        assert gap <= 1e-5 * np.linalg.norm(reference)
+
 
 class TestAdam:
     def test_zero_grad_is_noop(self):
@@ -218,19 +235,23 @@ class TestAdam:
 
 
     @staticmethod
-    def _desk_trajectory(oracle):
-        """40 Adam steps at desk shapes (V=512, F=80, K=40), in place and
-        through `oracle`, on gradients of very different scales per step,
-        as in training; yields both sides after each step, flattened."""
+    def _desk_trajectory(oracle, dtype=np.float64):
+        """40 Adam steps at desk shapes (V=512, F=80, K=40) in `dtype`, in
+        place and through `oracle`, on gradients of very different scales
+        per step, as in training; yields both sides after each step,
+        flattened."""
         rng = np.random.default_rng(8)
         p = init_params(desk_config(), substream(8, "init"))
+        p = p.like(p.flat.astype(dtype))
         state = init_adam(p, lr=0.02)
         leaves = [leaf.copy() for leaf in (p.w1, p.b1, p.w2, p.b2)]
         first = [np.zeros_like(leaf) for leaf in leaves]
         second = [np.zeros_like(leaf) for leaf in leaves]
         flat = lambda arrays: np.concatenate([x.ravel() for x in arrays])
         for step in range(1, 41):
-            grads = p.like(rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 1))
+            grads = p.like(
+                (rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-6, 1)).astype(dtype)
+            )
             p, state = adam_step(p, grads, state)
             leaves, first, second = oracle(
                 leaves, (grads.w1, grads.b1, grads.w2, grads.b2), first, second,
@@ -245,6 +266,18 @@ class TestAdam:
         for _, (p, state), (leaves, first, second) in self._desk_trajectory(
             efficient_adam_step
         ):
+            assert np.array_equal(p, leaves)
+            assert np.array_equal(state.first_moment, first)
+            assert np.array_equal(state.second_moment, second)
+
+    def test_float32_step_matches_efficient_form_oracle(self):
+        # Local training runs Adam on float32 vectors: every pass must stay
+        # in float32 and follow the oracle run in float32 bit for bit.
+        for _, (p, state), (leaves, first, second) in self._desk_trajectory(
+            efficient_adam_step, np.float32
+        ):
+            assert p.dtype == leaves.dtype == state.first_moment.dtype == np.float32
+            assert state.second_moment.dtype == np.float32
             assert np.array_equal(p, leaves)
             assert np.array_equal(state.first_moment, first)
             assert np.array_equal(state.second_moment, second)
@@ -265,10 +298,12 @@ class TestAdam:
             bound = 4 * eps64 * (np.max(np.abs(leaves)) + 0.02) * step
             assert np.max(np.abs(p - leaves)) <= bound
 
-    def test_step_allocates_at_most_one_parameter_vector(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_step_allocates_at_most_one_parameter_vector(self, dtype):
         # The step's one scratch vector is its only full-size allocation.
         p = init_params(desk_config(), substream(8, "init"))
-        grads = p.like(np.random.default_rng(8).normal(size=p.flat.size))
+        p = p.like(p.flat.astype(dtype))
+        grads = p.like(np.random.default_rng(8).normal(size=p.flat.size).astype(dtype))
         state = init_adam(p, lr=0.02)
         adam_step(p, grads, state)
         tracemalloc.start()
