@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Desk-scale detector comparison: federated SLP vs ISTA/FISTA/AMP on the
-cell-free layout plus the colocated-array variant, with MAC costs.
+cell-free layout and on the colocated-array variant, with MAC costs.
 
-Writes the cell-free results under results/desk/ and the colocated FL
-run under results/desk_colocated/ (both relative to the working
-directory), and prints a summary table. Runs in a couple of minutes on a
-laptop.
+Writes the cell-free results under results/desk/ and the colocated
+results under results/desk_colocated/ (both relative to the working
+directory), and prints one table row per detector and layout.
 """
 
 import json
@@ -31,26 +30,24 @@ def main() -> None:
         {
             **json.loads(config_path.read_text()),
             "architecture": "colocated",
-            "detectors": ["fl"],
             "output_dir": f"{config.output_dir}_colocated",
         }
     )
-    print("running colocated variant (fl)...")
+    print("running colocated variant (fl + baselines)...")
     colocated = run_experiment(colocated_cfg)
     emit_results(colocated, colocated_cfg)
 
     print(f"\ndone in {time.time() - t0:.0f}s\n")
-    header = f"{'detector':<16}{'auc':>8}{'macs(c=1)':>12}{'macs(c=4)':>12}{'iters':>7}"
+    header = f"{'detector':<20}{'auc':>8}{'macs(c=1)':>12}{'macs(c=4)':>12}{'iters':>7}"
     print(header)
     print("-" * len(header))
-    for name, res in cellfree.results.items():
+    rows = [*cellfree.results.items()]
+    rows += [(f"{name} (colocated)", res) for name, res in colocated.results.items()]
+    for name, res in rows:
         print(
-            f"{name:<16}{res.roc.auc:>8.4f}{res.macs_complex1:>12}"
+            f"{name:<20}{res.roc.auc:>8.4f}{res.macs_complex1:>12}"
             f"{res.macs_real4:>12}{res.iters:>7}"
         )
-    res = colocated.results["fl"]
-    print(f"{'fl (colocated)':<16}{res.roc.auc:>8.4f}{res.macs_complex1:>12}"
-          f"{res.macs_real4:>12}{res.iters:>7}")
 
     fl_macs = cellfree.results["fl"].macs_complex1
     if "amp" in cellfree.results:

@@ -106,20 +106,11 @@ def default_lambda(config: ScenarioConfig) -> float:
     )
 
 
-def row_soft_threshold(rows: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink each row of a 2-D stack toward zero:
-    row * max(1 - tau/||row||, 0). Zero rows map to zero even at tau = 0.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    out = rows.astype(np.result_type(rows, np.float64))
-    _shrink_rows(out, tau)
-    return out
-
-
 def _shrink_rows(rows: np.ndarray, tau: float) -> np.ndarray:
-    """row_soft_threshold in place on a float or complex 2-D stack the
-    caller owns; returns the mask of kept rows, those of norm > tau.
+    """Shrink each row of a float or complex 2-D stack the caller owns
+    toward zero, in place: row * max(1 - tau/||row||, 0) for tau >= 0,
+    so a zero row stays zero even at tau = 0. Returns the mask of kept
+    rows, those of norm > tau.
 
     A kept row stays nonzero. Its norm reads 0 only if its squared entries
     underflow, which takes norms near 1e-154 or below."""

@@ -262,19 +262,3 @@ def deserialize_update(blob: bytes) -> tuple[int, LocalUpdate]:
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     params = SlpParams.from_flat(flat.astype(np.float64), (v, f, k))
     return round_index, LocalUpdate(params=params, weight=weight, ap_index=ap_index)
-
-
-def update_schema(blob: bytes) -> dict:
-    """Header fields and the element count of every array field of a
-    blob that deserializes, for auditing what actually crosses the
-    AP-to-CPU boundary."""
-    round_index, update = deserialize_update(blob)
-    params = update.params
-    return {
-        "magic": _MAGIC.decode("ascii"),
-        "version": _WIRE_VERSION,
-        "round": round_index,
-        "ap_index": update.ap_index,
-        "weight": update.weight,
-        "array_fields": {name: getattr(params, name).size for name in ("w1", "b1", "w2", "b2")},
-    }

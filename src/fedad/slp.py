@@ -113,7 +113,8 @@ def forward(
     params: SlpParams, features: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Scores in (0, 1), shaped (B, K), for a (B, F) batch of feature
-    vectors, plus cached activations for backward."""
+    vectors, plus the activations `backward` reads: the hidden layer's
+    pre-activation `z1` and its output `hidden`."""
     if features.shape[1] != params.w1.shape[1]:
         raise ValueError(
             f"feature length {features.shape[1]} does not match "
@@ -124,7 +125,7 @@ def forward(
     hidden = np.maximum(z1, 0.0)
     z2 = hidden @ params.w2.T
     z2 += params.b2
-    return _sigmoid(z2), {"x": features, "z1": z1, "hidden": hidden, "z2": z2}
+    return _sigmoid(z2), {"z1": z1, "hidden": hidden}
 
 
 def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -147,7 +148,7 @@ def backward(params: SlpParams, features: np.ndarray, labels: np.ndarray) -> Slp
     np.sum(d2, axis=0, out=grads.b2)
     d1 = d2 @ params.w2                             # (B, V)
     d1 *= cache["z1"] > 0.0
-    np.matmul(d1.T, cache["x"], out=grads.w1)
+    np.matmul(d1.T, features, out=grads.w1)
     np.sum(d1, axis=0, out=grads.b1)
     return grads
 

@@ -29,7 +29,6 @@ from fedad.baselines import (
     fista,
     ista,
     resolve_solver,
-    row_soft_threshold,
 )
 from fedad.channel import build_dataset, received_from_features
 from fedad.cli import parse_config
@@ -63,26 +62,41 @@ def sparse_instance():
     return make_problem(a, a @ x + noise), lam
 
 
+def shrunk(rows, tau):
+    """_shrink_rows on a copy of `rows`: the shrunk copy and the kept mask."""
+    out = rows.copy()
+    kept = _shrink_rows(out, tau)
+    return out, kept
+
+
 class TestRowSoftThreshold:
+    """The closed form of the in-place shrink the solvers share."""
+
     def test_full_shrinkage(self):
-        out = row_soft_threshold(np.array([[3.0, 4.0]]), 5.0)[0]
-        assert np.array_equal(out, np.zeros(2))
+        out, kept = shrunk(np.array([[3.0, 4.0]]), 5.0)
+        assert np.array_equal(out[0], np.zeros(2))
+        assert not kept[0]
 
     def test_partial_shrinkage(self):
-        out = row_soft_threshold(np.array([[3.0, 4.0]]), 2.5)[0]
-        assert np.allclose(out, [1.5, 2.0], rtol=1e-15)
+        out, kept = shrunk(np.array([[3.0, 4.0]]), 2.5)
+        assert np.allclose(out[0], [1.5, 2.0], rtol=1e-15)
+        assert kept[0]
 
     def test_tau_zero_is_identity(self):
         row = np.array([1.0 + 2.0j, -0.5j])
-        assert np.array_equal(row_soft_threshold(row[None], 0.0)[0], row)
+        out, kept = shrunk(row[None], 0.0)
+        # Equal values, not equal bits: the complex product with the real
+        # scale 1.0 turns the -0.0 real part of -0.5j into +0.0.
+        assert np.array_equal(out[0], row)
+        assert kept[0]
 
     def test_zero_row_maps_to_zero(self):
-        assert not row_soft_threshold(np.zeros((1, 3)), 0.0).any()
-        assert not row_soft_threshold(np.zeros((1, 3)), 1.0).any()
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            row_soft_threshold(np.ones((1, 2)), -0.1)
+        # filterwarnings = error turns any divide or invalid warning into
+        # a failure here.
+        for tau in (0.0, 1.0):
+            out, kept = shrunk(np.zeros((1, 3)), tau)
+            assert not out.any()
+            assert not kept[0]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -93,15 +107,16 @@ class TestRowSoftThreshold:
     def test_nonexpansive_property(self, seed, tau, width):
         rng = np.random.default_rng(seed)
         row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        out = row_soft_threshold(row[None], tau)[0]
-        norm_in, norm_out = np.linalg.norm(row), np.linalg.norm(out)
+        out, kept = shrunk(row[None], tau)
+        norm_in, norm_out = np.linalg.norm(row), np.linalg.norm(out[0])
         assert norm_out <= norm_in + 1e-12
+        assert kept[0] == out.any()
         if norm_in <= tau:
             assert not out.any()
 
 
 class TestShrinkRows:
-    """The in-place shrink that the solvers and row_soft_threshold share."""
+    """The in-place shrink that the solvers share, against the oracles' reference."""
 
     # Entries span 1e-100 to 1e100: inside it, no squared norm underflows
     # to 0 or overflows to inf, in the shrink or in np.linalg.norm.
@@ -198,7 +213,7 @@ class TestIsta:
         est = ista(prob, SolverConfig(
             lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
         ))
-        closed = row_soft_threshold(q.conj().T @ y, 0.2)
+        closed = _reference_row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
     def test_objective_trace_nonincreasing(self):
@@ -238,7 +253,7 @@ class TestFista:
         est = fista(prob, SolverConfig(
             lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
         ))
-        closed = row_soft_threshold(q.conj().T @ y, 0.2)
+        closed = _reference_row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
     def test_head_to_head_iterations(self):

@@ -38,5 +38,6 @@ def test_desk_script_writes_both_runs_and_the_table(tmp_path, capsys):
 
     assert (out / "summary.json").is_file()
     assert (tmp_path / "results" / "desk_colocated" / "summary.json").is_file()
-    rows = {line[:16].strip() for line in capsys.readouterr().out.splitlines()}
-    assert {"fl", "ista", "fista", "amp", "fl (colocated)"} <= rows
+    rows = {line[:20].strip() for line in capsys.readouterr().out.splitlines()}
+    names = ["fl", "ista", "fista", "amp"]
+    assert {*names, *(f"{name} (colocated)" for name in names)} <= rows

@@ -20,7 +20,6 @@ from fedad.federation import (
     score_events,
     serialize_update,
     server_step,
-    update_schema,
 )
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario
@@ -320,11 +319,13 @@ class TestUpdateWire:
 
     def test_schema_lists_only_parameter_fields(self, small_config):
         update = self._update(small_config)
-        schema = update_schema(serialize_update(update, 0))
+        blob = serialize_update(update, 0)
+        _, back = deserialize_update(blob)
         v, f = update.params.w1.shape
         k = update.params.w2.shape[0]
-        assert schema["array_fields"] == {"w1": v * f, "b1": v, "w2": k * v, "b2": k}
-        assert schema["version"] == 1
+        fields = {name: getattr(back.params, name).size for name in ("w1", "b1", "w2", "b2")}
+        assert fields == {"w1": v * f, "b1": v, "w2": k * v, "b2": k}
+        assert struct.unpack_from("<I", blob, 4)[0] == 1  # the wire version
 
     def test_body_is_the_layers_in_wire_order(self, small_config):
         update = self._update(small_config)
@@ -354,7 +355,7 @@ class TestUpdateWire:
         blob = serialize_update(self._update(small_config), 0)
         for bad in (b"XXXX" + blob[4:], blob[:40], blob + bytes(8), b"ADUP", b""):
             with pytest.raises(ValueError):
-                update_schema(bad)
+                deserialize_update(bad)
 
 
 class TestHeldoutBce:
