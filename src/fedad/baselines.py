@@ -106,34 +106,39 @@ def default_lambda(config: ScenarioConfig) -> float:
     )
 
 
-def _shrink_rows(rows: np.ndarray, tau: float) -> np.ndarray:
+def _shrink_rows(rows: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Shrink each row of a float or complex 2-D stack the caller owns
     toward zero, in place: row * max(1 - tau/||row||, 0) for tau >= 0,
-    so a zero row stays zero even at tau = 0. Returns the mask of kept
-    rows, those of norm > tau.
+    so a zero row stays zero even at tau = 0. Returns the rows' norms
+    before the shrink and the factor each row was scaled by.
+
+    The kept rows, those of norm > tau, are exactly the rows of positive
+    factor: tau/||row|| rounds below 1 when tau < ||row||, and a dropped
+    row's factor is exactly 0. So norms * factor is each row's norm after
+    the shrink, up to rounding, and exactly 0 for a dropped row.
 
     A kept row stays nonzero. Its norm reads 0 only if its squared entries
     underflow, which takes norms near 1e-154 or below."""
     norms = _row_norms(rows)
-    kept = norms > tau
     # Kept rows' norms exceed tau, so flooring the divisor at tau changes
     # none of their quotients; it keeps those of dropped rows from
     # overflowing.
     divisor = np.maximum(norms, max(tau, 1e-300))
-    rows *= np.where(kept, 1.0 - tau / divisor, 0.0)[:, None]
-    return kept
+    scale = np.where(norms > tau, 1.0 - tau / divisor, 0.0)
+    rows *= scale[:, None]
+    return norms, scale
 
 
-def _objective(residual: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """The LASSO objective 0.5 * ||Y - S X||_F^2 + lam * sum_k ||row k of X||_2
-    of the 2-D estimate x, given its residual Y - S X."""
-    data_term = 0.5 * float(_frobenius(residual) ** 2)
-    return data_term + lam * float(np.add.reduce(_row_norms(x)))
+def lasso_objective(residual: np.ndarray, row_norm_sum: float, lam: float) -> float:
+    """The group-LASSO objective 0.5 * ||Y - S X||_F^2 + lam * sum_k ||x_k||_2,
+    from the residual Y - S X and the sum of X's row norms; the squared
+    Frobenius norm is one complex dot of the residual with itself."""
+    return 0.5 * float(np.vdot(residual, residual).real) + lam * float(row_norm_sum)
 
 
 # The two norms below are the expressions np.linalg.norm evaluates for
 # these cases, bit for bit, without its per-call argument handling; the
-# solvers call them several times per iteration.
+# solvers call them every iteration.
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -207,7 +212,7 @@ def _proximal_gradient(
     lam, mu = solver.lam, solver.step_size
     x = z = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     residual = y - s @ x
-    trace = [_objective(residual, x, lam)]
+    trace = [lasso_objective(residual, 0.0, lam)]
     t = 1.0
     increases = 0
     iterations = 0
@@ -216,7 +221,7 @@ def _proximal_gradient(
         x_new = s_h @ (y - s @ z if accelerate else residual)
         x_new *= mu
         x_new += z
-        _shrink_rows(x_new, mu * lam)
+        norms, scale = _shrink_rows(x_new, mu * lam)
         if accelerate:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             z = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -225,7 +230,8 @@ def _proximal_gradient(
             z = x_new
         x = x_new
         residual = y - s @ x
-        trace.append(_objective(residual, x, lam))
+        # The penalty reads x's row norms off the shrink: norms * scale.
+        trace.append(lasso_objective(residual, norms @ scale, lam))
         iterations += 1
         increases = _check_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
@@ -282,7 +288,7 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
         tau = alpha * np.sqrt(residual_norm ** 2 / ell)
         x_new = a_h @ residual
         x_new += x
-        support = int(np.count_nonzero(_shrink_rows(x_new, tau)))
+        support = int(np.count_nonzero(_shrink_rows(x_new, tau)[1]))
         x = x_new
         residual = y - a @ x + (support / ell) * residual
         residual_norm = _frobenius(residual)

@@ -115,10 +115,16 @@ def received_signals_reference(config, beta, pilots, n_samples, stream):
     return signals, np.array(labels)
 
 
-def _reference_row_soft_threshold(rows, tau):
+def _reference_shrink(rows, tau):
+    """Row soft threshold that also hands back the rows' norms before the
+    shrink and each row's factor."""
     norms = np.linalg.norm(rows, axis=1)
     scale = np.where(norms > tau, 1.0 - tau / np.maximum(norms, 1e-300), 0.0)
-    return rows * scale[:, None]
+    return rows * scale[:, None], norms, scale
+
+
+def _reference_row_soft_threshold(rows, tau):
+    return _reference_shrink(rows, tau)[0]
 
 
 def _reference_objective(problem, x, lam):
@@ -190,6 +196,46 @@ def fista_reference(problem, solver):
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
         trace.append(_reference_objective(problem, x, lam))
+        iterations += 1
+        increases = _reference_divergence(trace, increases, trace[0])
+        rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
+        if rel < solver.tol:
+            break
+    return _reference_estimate(x, iterations, trace)
+
+
+def shrink_form_reference(problem, solver, accelerate):
+    """ISTA (accelerate=False) or FISTA written out with the objective
+    taken from what the iteration already holds: the data term is
+    0.5 * Re <R, R>, one complex dot of the residual R = Y - S X with
+    itself, and the penalty is lam * sum_k ||g_k|| * scale_k, the row
+    norms of the gradient step g before the shrink times the shrink's
+    factors. That is lam * sum_k ||x_k|| up to rounding, and exactly 0
+    for a dropped row."""
+    s = problem.dictionary
+    y = problem.observations
+    lam = solver.lam
+    mu = solver.step_size
+    x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
+    z = x.copy()
+    t = 1.0
+    residual = y - s @ x
+    trace = [0.5 * float(np.vdot(residual, residual).real) + lam * 0.0]
+    increases = 0
+    iterations = 0
+    for _ in range(solver.max_iters):
+        grad_step = z + mu * (s.conj().T @ (y - s @ z))
+        x_new, norms, scale = _reference_shrink(grad_step, mu * lam)
+        if accelerate:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            t = t_new
+        else:
+            z = x_new
+        x = x_new
+        residual = y - s @ x
+        data_term = 0.5 * float(np.vdot(residual, residual).real)
+        trace.append(data_term + lam * float(np.dot(norms, scale)))
         iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)

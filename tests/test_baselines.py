@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +12,16 @@ from oracles import (
     fista_reference,
     ista_reference,
     orthonormal_dictionary,
+    shrink_form_reference,
     unit_column_dictionary,
 )
 
+from fedad import baselines
 from fedad.baselines import (
     MmvProblem,
     SolverConfig,
     SolverDivergenceError,
     SparseEstimate,
-    _objective,
     _shrink_rows,
     amp,
     colocate,
@@ -28,6 +30,7 @@ from fedad.baselines import (
     detect,
     fista,
     ista,
+    lasso_objective,
     resolve_solver,
 )
 from fedad.channel import build_dataset, received_from_features
@@ -63,10 +66,11 @@ def sparse_instance():
 
 
 def shrunk(rows, tau):
-    """_shrink_rows on a copy of `rows`: the shrunk copy and the kept mask."""
+    """_shrink_rows on a copy of `rows`: the shrunk copy and the kept mask,
+    the rows of positive factor."""
     out = rows.copy()
-    kept = _shrink_rows(out, tau)
-    return out, kept
+    _, scale = _shrink_rows(out, tau)
+    return out, scale > 0
 
 
 class TestRowSoftThreshold:
@@ -151,37 +155,50 @@ class TestShrinkRows:
         with np.errstate(over="ignore"):
             expected = _reference_row_soft_threshold(rows, tau)
         out = rows.copy()
-        kept = _shrink_rows(out, tau)
+        norms_in, scale = _shrink_rows(out, tau)
+        kept = scale > 0
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
         assert np.array_equal(kept, norms > tau)
-        # The support AMP counted before it read the mask.
+        # The support AMP counted before it read the factors.
         assert np.count_nonzero(kept) == np.sum(np.linalg.norm(out, axis=1) > 0)
+        # What the ISTA/FISTA objective reads off the shrink: the norms
+        # before it, bit for bit, a factor of exactly 0 on dropped rows,
+        # and norms * factor as the norms after it, up to rounding.
+        assert norms_in.tobytes() == norms.tobytes()
+        assert not scale[~kept].any()
+        after = np.linalg.norm(out, axis=1)
+        assert np.allclose(norms_in * scale, after, rtol=1e-14, atol=0.0)
+
+
+def row_norm_sum(x):
+    return float(np.sum(np.linalg.norm(x, axis=1)))
 
 
 class TestLassoObjective:
-    # _objective takes the residual Y - S X alongside X.
+    # lasso_objective takes the residual Y - S X and the sum of X's row norms.
     def test_zero_estimate(self):
         rng = np.random.default_rng(0)
         a = unit_column_dictionary(rng, 4, 6)
         y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         x = np.zeros((6, 2), complex)
         expected = 0.5 * np.linalg.norm(y) ** 2
-        assert _objective(y - a @ x, x, 0.7) == pytest.approx(expected, rel=1e-12)
+        got = lasso_objective(y - a @ x, row_norm_sum(x), 0.7)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_exact_fit_no_penalty(self):
         rng = np.random.default_rng(1)
         a = unit_column_dictionary(rng, 5, 5)
         x = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         y = a @ x
-        assert _objective(y - a @ x, x, 0.0) == pytest.approx(0.0, abs=1e-20)
+        got = lasso_objective(y - a @ x, row_norm_sum(x), 0.0)
+        assert got == pytest.approx(0.0, abs=1e-20)
 
     def test_scalar_arithmetic(self):
         x = np.array([[0.5 + 0j]])
         # 0.5 * (0.8 - 0.5)^2 + 0.3 * 0.5 = 0.045 + 0.15
-        assert _objective(np.array([[0.8 - 0.5 + 0j]]), x, 0.3) == pytest.approx(
-            0.195, rel=1e-12
-        )
+        got = lasso_objective(np.array([[0.8 - 0.5 + 0j]]), row_norm_sum(x), 0.3)
+        assert got == pytest.approx(0.195, rel=1e-12)
 
 
 class TestIsta:
@@ -277,10 +294,17 @@ class TestFista:
 
 
 class TestProximalGradientOracle:
-    """ISTA and FISTA share one loop; each must reproduce its own
-    stand-alone reference loop bit for bit."""
+    """ISTA and FISTA share one loop. Each must reproduce, bit for bit, the
+    reference loop that evaluates the objective the same way
+    (shrink_form_reference), and its own stand-alone reference with the
+    direct objective in every iterate, statistic and stopping decision;
+    the two objective traces differ by rounding only."""
 
     PAIRS = [(ista, ista_reference), (fista, fista_reference)]
+    # Relative gap allowed between the solver's objective trace and the
+    # direct one, which sums the same terms in another order; they are
+    # about 3e-16 apart on these instances.
+    TRACE_RTOL = 1e-13
 
     @pytest.mark.parametrize("solver_fn, reference", PAIRS, ids=["ista", "fista"])
     @pytest.mark.parametrize("case", ["early_stop", "full_budget", "explicit_step"])
@@ -301,23 +325,57 @@ class TestProximalGradientOracle:
             ),
         }[case]
         est, ref = solver_fn(prob, solver), reference(prob, solver)
+        same_form = shrink_form_reference(prob, solver, accelerate=solver_fn is fista)
         if case == "full_budget":
             assert est.iterations_used == solver.max_iters
         else:
             assert est.iterations_used < solver.max_iters
+        assert est.iterations_used == same_form.iterations_used
+        assert np.array_equal(est.x_hat, same_form.x_hat)
+        assert np.array_equal(est.objective_trace, same_form.objective_trace)
+        assert np.array_equal(est.activity_stat, same_form.activity_stat)
+
         assert est.iterations_used == ref.iterations_used
         assert np.array_equal(est.x_hat, ref.x_hat)
-        assert np.array_equal(est.objective_trace, ref.objective_trace)
         assert np.array_equal(est.activity_stat, ref.activity_stat)
+        gap = np.abs(est.objective_trace - ref.objective_trace)
+        assert np.all(gap <= self.TRACE_RTOL * np.maximum(np.abs(ref.objective_trace), 1.0))
 
     @pytest.mark.parametrize("solver_fn, reference", PAIRS, ids=["ista", "fista"])
     def test_bad_step_size_raises(self, solver_fn, reference):
         prob, lam = sparse_instance()
         bad = 10.0 / np.linalg.norm(prob.dictionary, 2) ** 2
         solver = SolverConfig(lam=lam, max_iters=200, tol=0.0, step_size=bad)
-        for fn in (solver_fn, reference):
+        same_form = functools.partial(shrink_form_reference, accelerate=solver_fn is fista)
+        for fn in (solver_fn, reference, same_form):
             with pytest.raises(SolverDivergenceError):
                 fn(prob, solver)
+
+    @pytest.mark.parametrize("solver_fn", [ista, fista], ids=["ista", "fista"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-8], ids=["full_budget", "early_stop"])
+    def test_one_row_norm_pass_and_one_objective_per_iteration(
+        self, monkeypatch, solver_fn, tol
+    ):
+        # The objective reads x's row norms off the shrink, so a solve of n
+        # iterations takes row norms n times, plus once for the problem's
+        # dictionary check, and evaluates the objective n + 1 times.
+        instance, lam = sparse_instance()
+        calls = dict.fromkeys(["_row_norms", "lasso_objective"], 0)
+        for name in calls:
+            original = getattr(baselines, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(baselines, name, counted)
+        prob = make_problem(instance.dictionary, instance.observations)
+        solver = SolverConfig(
+            lam=lam, max_iters=150, tol=tol, step_size=default_step_size(prob.dictionary)
+        )
+        n = solver_fn(prob, solver).iterations_used
+        assert (n < solver.max_iters) == (tol > 0)
+        assert calls == {"_row_norms": n + 1, "lasso_objective": n + 1}
 
 
 class TestAmpOracle:
