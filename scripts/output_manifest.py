@@ -19,6 +19,10 @@ machine: cores, BLAS build, numpy and Python. The digests depend on the
 BLAS build and the CPU, so compare manifests taken on one machine; the
 run-to-run check is acceptance criterion 8.
 
+Each run also records `peak_rss_mb`, the run's peak resident set size
+(the child's `ru_maxrss`, from `os.wait4`). It varies from run to run, so
+`--compare` does not read it.
+
 `--compare` prints every file digest, AUC, iteration count and MAC count
 that differs between two manifests, one per line, and exits 1 if any does.
 """
@@ -83,11 +87,19 @@ def run_one(name: str, seed: int, arch: str, work: Path) -> dict:
         "--seed", str(seed), "--arch", arch, "--out", str(out),
     ]
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=REPO)
+    with tempfile.TemporaryFile("w+") as stderr:
+        child = subprocess.Popen(
+            argv, stdout=subprocess.DEVNULL, stderr=stderr, text=True, env=env, cwd=REPO
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        stderr.seek(0)
+        errors = stderr.read()
     record = {"config": f"configs/{name}.json", "seed": seed, "arch": arch,
-              "exit_code": done.returncode, "files": {}, "detectors": {}}
-    if done.returncode != 0:
-        record["stderr"] = done.stderr.strip().splitlines()[-1:]
+              "exit_code": child.returncode, "files": {}, "detectors": {},
+              "peak_rss_mb": usage.ru_maxrss / 1024.0}  # ru_maxrss is in KiB on Linux
+    if child.returncode != 0:
+        record["stderr"] = errors.strip().splitlines()[-1:]
         return record
     for path in sorted(out.iterdir()):
         blob = path.read_bytes()

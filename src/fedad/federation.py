@@ -5,10 +5,14 @@ mini-batch Adam on its own received data (in float32; the global model,
 the server step and the wire format stay float64), the CPU forms a
 weighted average of the returned parameters and applies its own
 optimization step (plain pass-through or a FedOpt-style Adam on the
-averaging delta).
+averaging delta). The average is a streaming fold, as a FedAvg server
+needs (McMahan et al., AISTATS 2017): each AP's update is folded into a
+running weighted sum as it arrives and then dropped, so the CPU holds a
+fixed number of parameter vectors however many APs there are.
 
 At inference the CPU fuses per-AP probabilities per device over the
-cluster of that device's strongest APs.
+cluster of that device's strongest APs. Each AP's scores go straight
+into their cluster slots, so fusion, too, holds nothing per AP.
 
 Update wire format (version 1, little-endian), used for checkpoints and
 to make the parameters-only exchange auditable:
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import struct
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,31 +121,49 @@ def local_train(
     return LocalUpdate(params=global_params.like(moved), weight=float(n), ap_index=ap_index)
 
 
-def aggregate(updates: list[LocalUpdate]) -> SlpParams:
+def aggregate(updates: Iterable[LocalUpdate], total_weight: float | None = None) -> SlpParams:
     """Parameter-wise weighted mean, weights normalized to sum one and
     summation performed in ascending ap_index order (so reordering the
     input list is bit-exact).
 
-    Computed as base + sum_i c_i * (p_i - base) against the lowest-index
-    update, which makes a single update and identical inputs exact, not
-    just close.
+    Computed as base + sum_i c_i * (p_i - base), c_i = w_i / total, against
+    the lowest-index update, which makes a single update and identical
+    inputs exact, not just close. Each update is folded into the running
+    sum as it arrives, so the server holds three parameter vectors (base,
+    sum and one scratch) whatever the number of APs.
+
+    Without `total_weight`, `updates` is collected, sorted by ap_index and
+    its weights summed first. With it, `updates` may be a generator that
+    yields them one at a time in ascending ap_index, and `total_weight`
+    must be the sum of their weights in that order: anything else raises
+    ValueError, after the fold for a total that does not match.
     """
-    if not updates:
+    if total_weight is None:
+        updates = sorted(updates, key=lambda u: u.ap_index)
+        total_weight = 0.0
+        for u in updates:
+            total_weight += u.weight
+    stream = iter(updates)
+    first = next(stream, None)
+    if first is None:
         raise ValueError("aggregate requires at least one update")
-    ordered = sorted(updates, key=lambda u: u.ap_index)
-    total = 0.0
-    for u in ordered:
-        total += u.weight
-    if total <= 0:
+    if not total_weight > 0:  # NaN fails too
         raise ValueError("aggregation weights must not all be zero")
-    base = ordered[0].params.flat
+    base = first.params.flat
     acc = base.copy()
     delta = np.empty_like(base)
-    for u in ordered[1:]:
+    summed, last = first.weight, first.ap_index
+    for u in stream:
+        if u.ap_index < last:
+            raise ValueError(f"update from AP {u.ap_index} arrived after AP {last}")
         np.subtract(u.params.flat, base, out=delta)
-        delta *= u.weight / total
+        delta *= u.weight / total_weight
         acc += delta
-    return ordered[0].params.like(acc)
+        summed, last = summed + u.weight, u.ap_index
+        del u  # the next AP trains without this update alive
+    if summed != total_weight:
+        raise ValueError(f"total_weight {total_weight} is not the updates' weight sum {summed}")
+    return first.params.like(acc)
 
 
 def server_step(
@@ -167,14 +190,20 @@ def score_events(
     """System output (n_events, K): the model runs at every AP, and each
     device's score is the mean of the scores of its cluster, the
     cluster_size APs with the largest large-scale gain toward it (ties
-    broken toward the lower AP index)."""
+    broken toward the lower AP index).
+
+    Each AP writes the scores of the devices it serves straight into
+    their (cluster rank, event, device) slots, so memory holds the
+    (cluster_size, n_events, K) slots and one AP's forward pass at a time,
+    whatever the number of APs; an AP that serves no device is not run."""
     top = _cluster_members(beta, cluster_size)            # (T, K)
-    n_events, m, _ = dataset.features.shape
-    k = beta.shape[1]
-    per_ap = np.empty((m, n_events, k))
-    for ap in range(m):
-        per_ap[ap] = forward(params, dataset.features[:, ap, :])[0]
-    return per_ap[top[:, None, :], np.arange(n_events)[:, None], np.arange(k)].mean(axis=0)
+    slots = np.empty((cluster_size, dataset.features.shape[0], beta.shape[1]))
+    for ap in range(beta.shape[0]):
+        rank, device = np.nonzero(top == ap)
+        if device.size:
+            scores = forward(params, dataset.features[:, ap, :])[0]
+            slots[rank, :, device] = scores[:, device].T
+    return slots.mean(axis=0)
 
 
 def heldout_bce(
@@ -217,13 +246,15 @@ def run_training(
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
         if fed.regenerate_each_round and rnd > 0:
+            train_data = None  # free the last round's set before drawing the next
             train_data = build_dataset(
                 cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream
             )
-        aggregated = aggregate([
+        updates = (
             local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])
             for ap in range(m)
-        ])
+        )
+        aggregated = aggregate(updates, total_weight=float(m * fed.train_samples))
         params, server_state = server_step(params, aggregated, server_state)
         history.heldout_bce.append(
             heldout_bce(params, heldout_data, artifacts.beta, cfg.cluster_size)

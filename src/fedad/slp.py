@@ -113,8 +113,10 @@ def forward(
     params: SlpParams, features: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Scores in (0, 1), shaped (B, K), for a (B, F) batch of feature
-    vectors, plus the activations `backward` reads: the hidden layer's
-    pre-activation `z1` and its output `hidden`."""
+    vectors, plus the cache `backward` reads: the hidden layer's output
+    `hidden` only. The ReLU runs in place on the pre-activation, whose
+    positive entries are exactly those of `hidden`, so no second (B, V)
+    buffer is kept."""
     if features.shape[1] != params.w1.shape[1]:
         raise ValueError(
             f"feature length {features.shape[1]} does not match "
@@ -122,10 +124,10 @@ def forward(
         )
     z1 = features @ params.w1.T
     z1 += params.b1
-    hidden = np.maximum(z1, 0.0)
+    hidden = np.maximum(z1, 0.0, out=z1)
     z2 = hidden @ params.w2.T
     z2 += params.b2
-    return _sigmoid(z2), {"z1": z1, "hidden": hidden}
+    return _sigmoid(z2), {"hidden": hidden}
 
 
 def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -147,7 +149,7 @@ def backward(params: SlpParams, features: np.ndarray, labels: np.ndarray) -> Slp
     np.matmul(d2.T, cache["hidden"], out=grads.w2)
     np.sum(d2, axis=0, out=grads.b2)
     d1 = d2 @ params.w2                             # (B, V)
-    d1 *= cache["z1"] > 0.0
+    d1 *= cache["hidden"] > 0.0                     # the ReLU mask: z1 > 0
     np.matmul(d1.T, features, out=grads.w1)
     np.sum(d1, axis=0, out=grads.b1)
     return grads

@@ -285,6 +285,19 @@ def fuse_cluster_scores(per_ap_scores, beta, cluster_size):
     return per_ap_scores[top, np.arange(beta.shape[1])].mean(axis=0)
 
 
+def score_events_reference(params, dataset, beta, cluster_size):
+    """`federation.score_events` as a full gather: every AP's scores on
+    every event in one (M, E, K) array, then each device's cluster picked
+    out of it and averaged."""
+    top = np.argsort(-beta, axis=0, kind="stable")[:cluster_size]  # (T, K)
+    n_events, m, _ = dataset.features.shape
+    k = beta.shape[1]
+    per_ap = np.empty((m, n_events, k))
+    for ap in range(m):
+        per_ap[ap] = forward(params, dataset.features[:, ap, :])[0]
+    return per_ap[top[:, None, :], np.arange(n_events)[:, None], np.arange(k)].mean(axis=0)
+
+
 def exhaustive_ls_support(dictionary, observations, size):
     """Least-squares residual over every support of the given size."""
     best, best_resid = None, np.inf

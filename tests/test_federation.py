@@ -1,14 +1,15 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fuse_cluster_scores
+from oracles import fuse_cluster_scores, score_events_reference
 
 import fedad.federation as federation
-from fedad.channel import build_dataset
+from fedad.channel import Dataset, build_dataset
 from fedad.federation import (
     FederationConfig,
     LocalUpdate,
@@ -35,6 +36,18 @@ def scalar_params(value: float) -> SlpParams:
 
 def params_equal(a: SlpParams, b: SlpParams) -> bool:
     return np.array_equal(a.flat, b.flat)
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes `fn(*args)` holds at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -162,6 +175,59 @@ class TestAggregate:
         # One such weight would turn every aggregated parameter into NaN.
         with pytest.raises(ValueError, match="weight must be finite"):
             LocalUpdate(params=scalar_params(1.0), weight=weight, ap_index=0)
+
+
+class TestStreamedAggregate:
+    """aggregate(generator, total_weight) folds each update as it arrives;
+    it must give the bytes the sorted-list form gives."""
+
+    @staticmethod
+    def _shuffled_updates(small_config, seed):
+        rng = np.random.default_rng(seed)
+        template = init_params(small_config, substream(seed, "init"))
+        updates = [
+            LocalUpdate(params=template.like(rng.normal(size=template.flat.size)),
+                        weight=float(rng.random() * 10.0 + 0.01), ap_index=i)
+            for i in range(int(rng.integers(1, 9)))
+        ]
+        rng.shuffle(updates)
+        return updates
+
+    @staticmethod
+    def _stream(updates):
+        ordered = sorted(updates, key=lambda u: u.ap_index)
+        total = 0.0
+        for u in ordered:
+            total += u.weight
+        return (u for u in ordered), total
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_list_bit_exact(self, small_config, seed):
+        updates = self._shuffled_updates(small_config, seed)
+        stream, total = self._stream(updates)
+        assert params_equal(aggregate(stream, total_weight=total), aggregate(updates))
+
+    def test_wrong_total_rejected(self, small_config):
+        stream, total = self._stream(self._shuffled_updates(small_config, 3))
+        with pytest.raises(ValueError, match="total_weight"):
+            aggregate(stream, total_weight=total * 1.5)
+
+    def test_zero_total_rejected(self):
+        stream = iter([LocalUpdate(params=scalar_params(1.0), weight=0.0, ap_index=0)])
+        with pytest.raises(ValueError, match="weight"):
+            aggregate(stream, total_weight=0.0)
+
+    def test_out_of_order_rejected(self):
+        updates = [
+            LocalUpdate(params=scalar_params(1.0), weight=1.0, ap_index=1),
+            LocalUpdate(params=scalar_params(2.0), weight=1.0, ap_index=0),
+        ]
+        with pytest.raises(ValueError, match="AP 0 arrived after AP 1"):
+            aggregate(iter(updates), total_weight=2.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            aggregate(iter([]), total_weight=1.0)
 
 
 class TestServerStep:
@@ -395,6 +461,113 @@ class TestScoreEvents:
         params = init_params(small_config, substream(5, "init"))
         with pytest.raises(ValueError, match="cluster_size"):
             score_events(params, ds, small_artifacts.beta, small_config.num_aps + 1)
+
+    @pytest.mark.parametrize("shape", [
+        {"num_aps": 8, "num_devices": 40, "pilot_len": 20},   # configs/desk.json
+        {"num_aps": 20, "num_devices": 100, "pilot_len": 40},  # configs/paper.json
+    ], ids=["desk", "paper"])
+    @pytest.mark.parametrize("cluster", ["one", "all"])
+    def test_matches_gather_reference(self, shape, cluster):
+        cfg = ScenarioConfig(antennas_per_ap=2, hidden_units=512, cluster_size=1, **shape)
+        cluster_size = 1 if cluster == "one" else cfg.num_aps
+        rng = np.random.default_rng(cfg.num_aps)
+        ds = Dataset(
+            features=rng.normal(size=(16, cfg.num_aps, cfg.feature_dim)),
+            labels=np.zeros((16, cfg.num_devices), dtype=np.int8),
+        )
+        beta = build_scenario(cfg).beta
+        params = init_params(cfg, substream(6, "init"))
+        assert np.array_equal(
+            score_events(params, ds, beta, cluster_size),
+            score_events_reference(params, ds, beta, cluster_size),
+        )
+
+    def test_ap_serving_no_device_is_not_run(self, small_config, small_artifacts, monkeypatch):
+        ds = build_dataset(
+            small_config, small_artifacts.beta, small_artifacts.pilots, 7,
+            substream(4, "data"),
+        )
+        params = init_params(small_config, substream(5, "init"))
+        beta = small_artifacts.beta.copy()
+        beta[2] = beta.min() / 2.0  # AP 2 is in no device's cluster of 2
+        served = []
+
+        def recording_forward(p, features):
+            served.append(next(
+                ap for ap in range(small_config.num_aps)
+                if np.shares_memory(features, ds.features[:, ap])
+            ))
+            return forward(p, features)
+
+        monkeypatch.setattr(federation, "forward", recording_forward)
+        fused = score_events(params, ds, beta, 2)
+        assert served == [0, 1, 3]
+        assert np.array_equal(fused, score_events_reference(params, ds, beta, 2))
+
+
+class TestServerMemory:
+    """The central processor's buffers do not grow with the number of APs."""
+
+    @pytest.mark.parametrize("mode", ["plain-average", "server-adam"])
+    def test_run_training_peak_does_not_grow_with_aps(self, mode):
+        # A wide hidden layer and a handful of events, so that a parameter
+        # vector (410 kB) dwarfs everything else that scales with M.
+        fed = FederationConfig(
+            rounds=1, local_epochs=1, batch_size=4, train_samples=4, eval_samples=4,
+            server_mode=mode,
+        )
+        peaks = {}
+        for m in (4, 16):
+            cfg = ScenarioConfig(
+                num_aps=m, antennas_per_ap=2, num_devices=8, pilot_len=4,
+                hidden_units=2048, cluster_size=2, master_seed=5,
+            )
+            artifacts = build_scenario(cfg)
+            peaks[m] = traced_peak(run_training, artifacts, fed, substream(1, "fed"))
+        vector_bytes = init_params(cfg, substream(0, "init")).flat.nbytes
+        assert peaks[16] - peaks[4] < vector_bytes
+
+    def test_regeneration_holds_one_training_set(self):
+        # 1,024 events of 2 APs (262 kB of features) and no local epochs:
+        # the training sets dominate, and drawing a fresh one each round
+        # must not hold the last one alive while it is drawn.
+        cfg = ScenarioConfig(
+            num_aps=2, antennas_per_ap=2, num_devices=8, pilot_len=4,
+            hidden_units=8, cluster_size=1, master_seed=4,
+        )
+        artifacts = build_scenario(cfg)
+        fed = FederationConfig(
+            rounds=2, local_epochs=0, batch_size=256, train_samples=1024, eval_samples=4,
+        )
+        fixed = traced_peak(run_training, artifacts, fed, substream(2, "fed"))
+        fresh_fed = replace(fed, regenerate_each_round=True)
+        fresh = traced_peak(run_training, artifacts, fresh_fed, substream(2, "fed"))
+        set_bytes = fed.train_samples * cfg.num_aps * cfg.feature_dim * 8
+        assert fresh - fixed < set_bytes // 2
+
+    @pytest.mark.parametrize("num_aps", [4, 16, 32])
+    def test_score_events_peak_is_slots_plus_one_forward(self, num_aps):
+        # Many devices and a narrow hidden layer, so that one AP's scores
+        # (64 kB) are what a per-AP score array would multiply.
+        cfg = ScenarioConfig(
+            num_aps=num_aps, antennas_per_ap=2, num_devices=64, pilot_len=4,
+            hidden_units=32, cluster_size=2, master_seed=9,
+        )
+        n_events = 128
+        rng = np.random.default_rng(num_aps)
+        ds = Dataset(
+            features=rng.normal(size=(n_events, num_aps, cfg.feature_dim)),
+            labels=np.zeros((n_events, cfg.num_devices), dtype=np.int8),
+        )
+        beta = build_scenario(cfg).beta
+        params = init_params(cfg, substream(2, "init"))
+        one_forward = traced_peak(forward, params, ds.features[:, 0, :])
+        fused_bytes = n_events * cfg.num_devices * 8
+        slots_bytes = cfg.cluster_size * fused_bytes
+        peak = traced_peak(score_events, params, ds, beta, cfg.cluster_size)
+        # Choosing the clusters sorts -beta: two (M, K) arrays, the size of
+        # the gains the caller already holds.
+        assert peak <= slots_bytes + one_forward + fused_bytes + 2 * beta.nbytes + 8192
 
 
 class TestInputsUntouched:

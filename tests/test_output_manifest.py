@@ -30,6 +30,7 @@ def test_manifest_schema_and_compare(tmp_path, capsys):
         "roc_fl_cellfree.csv", "summary.json", "history_fl_cellfree.csv", "model_fl_cellfree.bin",
     }
     assert all(len(digest) == 64 for digest in run["files"].values())
+    assert run["peak_rss_mb"] > 0
     fl = run["detectors"]["fl"]
     summary = json.loads((tmp_path / "runs" / "smoke_seed0_cellfree" / "summary.json").read_text())
     assert fl["auc"] == repr(summary["fl"]["auc"])
@@ -42,6 +43,14 @@ def test_manifest_schema_and_compare(tmp_path, capsys):
                         "--work", str(tmp_path / "elsewhere")]) == 0
     capsys.readouterr()
     assert script.main(["--compare", str(out), str(tmp_path / "again.json")]) == 0
+    assert capsys.readouterr().out.strip() == "no recorded output moved"
+
+    # The peak RSS is not deterministic, so it is recorded but not compared.
+    again = json.loads((tmp_path / "again.json").read_text())
+    assert again["runs"]["smoke_seed0_cellfree"]["peak_rss_mb"] > 0
+    again["runs"]["smoke_seed0_cellfree"]["peak_rss_mb"] = 2 * run["peak_rss_mb"]
+    (tmp_path / "heavier.json").write_text(json.dumps(again))
+    assert script.main(["--compare", str(out), str(tmp_path / "heavier.json")]) == 0
     assert capsys.readouterr().out.strip() == "no recorded output moved"
 
     moved = json.loads(out.read_text())
