@@ -312,8 +312,10 @@ def detect(
 
     Each event is one centralized problem: the dictionary sqrt(tx_power) *
     pilots, shared by all events, against the event's M APs' antennas
-    stacked column-wise. Returns the (n_events, K) recovered row energies
-    and the most iterations any event used.
+    stacked column-wise. Events are decoded one at a time, so the decoded
+    observations of only one event are held at once. Returns the
+    (n_events, K) recovered row energies and the most iterations any
+    event used.
     """
     if detector not in ("ista", "fista", "amp"):
         raise ValueError(f"unknown baseline detector {detector!r}")
@@ -323,11 +325,12 @@ def detect(
     # then (a tracing wrapper, say) is what runs.
     solve = globals()[detector]
     dictionary = np.sqrt(cfg.tx_power) * artifacts.pilots
-    received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
-    n_events, m, ell, n = received.shape
+    n_events, m = events.features.shape[:2]
+    ell, n = cfg.pilot_len, cfg.antennas_per_ap
     stats = np.empty((n_events, cfg.num_devices))
     iters = 0
-    for i, event in enumerate(received):
+    for i in range(n_events):
+        event = received_from_features(events.features[i], ell, n)  # (M, L, N)
         observations = event.transpose(1, 0, 2).reshape(ell, m * n)
         est = solve(MmvProblem(dictionary, observations, cfg.tx_power), solver)
         stats[i] = est.activity_stat

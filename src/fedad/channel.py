@@ -11,7 +11,9 @@ shipped output that depends on event synthesis depends on this order.
 Feature encoding (`features_from_received`): each AP's L x N observation
 is flattened column-major (antenna by antenna) and the real parts are
 concatenated ahead of the imaginary parts, giving a lossless real vector
-of length 2*L*N. The inverse (`received_from_features`) is bit-exact.
+of length 2*L*N. The inverse (`received_from_features`) is bit-exact,
+signed zeros and non-finite values included: each half is written into
+its own part of the complex result, with no arithmetic between them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def received_from_features(features: np.ndarray, pilot_len: int, antennas: int) 
     """Bit-exact inverse of `features_from_received`, over any leading
     batch axes: (..., 2*L*N) features map to (..., L, N) observations."""
     half = pilot_len * antennas
-    flat = features[..., :half] + 1j * features[..., half:]
+    flat = np.empty(features.shape[:-1] + (half,), dtype=complex)
+    flat.real = features[..., :half]
+    flat.imag = features[..., half:]
     return flat.reshape(flat.shape[:-1] + (antennas, pilot_len)).swapaxes(-1, -2)
 
 

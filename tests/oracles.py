@@ -4,6 +4,7 @@ they check."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -318,3 +319,15 @@ def unit_column_dictionary(rng, ell, k):
 def orthonormal_dictionary(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes `fn(*args)` holds at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     ista_reference,
     orthonormal_dictionary,
     shrink_form_reference,
+    traced_peak,
     unit_column_dictionary,
 )
 
@@ -644,6 +646,22 @@ class TestDetectAtDeskShapes:
         if detector != "amp":
             # Some events stop on tol, short of the budget.
             assert min(ref.iterations_used for ref in refs) < solver.max_iters
+
+
+class TestDetectMemory:
+    """detect decodes one event at a time: its peak stays below what the
+    decoded observations of all events would take."""
+
+    @pytest.mark.parametrize("detector", ["ista", "fista", "amp"])
+    def test_peak_is_below_all_decoded_events(self, detector):
+        config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+        cfg = config.scenario
+        art = build_scenario(cfg)
+        n_events = 100
+        events = build_dataset(cfg, art.beta, art.pilots, n_events, substream(5, "desk-events"))
+        solver = replace(config.solver, max_iters=10, amp_iters=10)
+        all_decoded = n_events * cfg.num_aps * cfg.pilot_len * cfg.antennas_per_ap * 16
+        assert traced_peak(detect, detector, solver, art, events) < all_decoded
 
 
 class TestColocate:

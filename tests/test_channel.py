@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,18 @@ class TestFeatureCodec:
         assert decoded.shape == (4, 6, 5, 3)
         for i, ap in np.ndindex(4, 6):
             assert np.array_equal(decoded[i, ap], received_from_features(batch[i, ap], 5, 3))
+
+    def test_round_trip_keeps_signed_zeros_and_infinities(self):
+        # Any arithmetic between the halves breaks these: re + 1j * im adds
+        # +0.0 to each real part (-0.0 comes back as +0.0) and multiplies
+        # an infinite imaginary part by 0 (a NaN real part and a warning).
+        y = np.empty((2, 2), dtype=complex)
+        y.real = [[-0.0, -0.0], [1.0, -0.0]]
+        y.imag = [[1.0, -1.0], [np.inf, -np.inf]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = received_from_features(features_from_received(y), 2, 2)
+        assert back.tobytes() == y.tobytes()
 
     def test_layout_written_out(self):
         # L = 3 pilot symbols, N = 2 antennas: the real parts antenna by

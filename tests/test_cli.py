@@ -173,10 +173,68 @@ class TestRunExperiment:
         )
         assert np.array_equal(update.params.flat, trained.flat)
 
+    def test_fl_trains_before_the_evaluation_events_are_drawn(self, tmp_path, monkeypatch):
+        calls = []
+        real_training, real_events = fedad.cli.run_training, fedad.cli.build_dataset
+
+        def recording_training(*args):
+            calls.append("run_training")
+            result = real_training(*args)
+            calls.append("run_training returned")
+            return result
+
+        def recording_events(config, beta, pilots, n_samples, stream):
+            calls.append(f"build_dataset({n_samples})")
+            return real_events(config, beta, pilots, n_samples, stream)
+
+        monkeypatch.setattr("fedad.cli.run_training", recording_training)
+        monkeypatch.setattr("fedad.cli.build_dataset", recording_events)
+        cfg = smoke_config(tmp_path, detectors=["ista", "fl"], eval_trials=3)
+        run_experiment(cfg)
+        assert calls == ["run_training", "run_training returned", "build_dataset(3)"]
+
+    def test_fl_runtime_covers_training_and_no_runtime_covers_synthesis(
+        self, tmp_path, monkeypatch
+    ):
+        # A clock that only the wrapped stages advance: FL's runtime is
+        # exactly its training delay, and drawing the events counts for
+        # no detector.
+        import types
+
+        clock = [0.0]
+        real_training, real_events = fedad.cli.run_training, fedad.cli.build_dataset
+
+        def slow_training(*args):
+            clock[0] += 7.0
+            return real_training(*args)
+
+        def slow_events(*args):
+            clock[0] += 100.0
+            return real_events(*args)
+
+        monkeypatch.setattr("fedad.cli.time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr("fedad.cli.run_training", slow_training)
+        monkeypatch.setattr("fedad.cli.build_dataset", slow_events)
+        results = run_experiment(smoke_config(tmp_path, detectors=["ista", "fl"])).results
+        assert results["fl"].runtime_s == 7.0
+        assert results["ista"].runtime_s == 0.0
+
+    def test_detector_order_does_not_move_scores(self, tmp_path):
+        first = run_experiment(smoke_config(tmp_path, detectors=["fl", "ista"]))
+        second = run_experiment(smoke_config(tmp_path, detectors=["ista", "fl"]))
+        assert list(second.results) == ["ista", "fl"]
+        for name in ("fl", "ista"):
+            assert (
+                first.results[name].trials.scores.tobytes()
+                == second.results[name].trials.scores.tobytes()
+            )
+        assert first.checkpoint == second.checkpoint
+        assert first.history == second.history
+
     @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
     def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch):
-        # The runner decodes all events at once and fills in lam and the
-        # step size from the experiment's scenario; scores must equal
+        # The runner decodes the events one at a time and fills in lam and
+        # the step size from the experiment's scenario; scores must equal
         # solving each event on its own, with the step size from that
         # event's problem, stacked here by hand.
         import dataclasses

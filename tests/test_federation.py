@@ -1,12 +1,11 @@
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fuse_cluster_scores, score_events_reference
+from oracles import fuse_cluster_scores, score_events_reference, traced_peak
 
 import fedad.federation as federation
 from fedad.channel import Dataset, build_dataset
@@ -36,18 +35,6 @@ def scalar_params(value: float) -> SlpParams:
 
 def params_equal(a: SlpParams, b: SlpParams) -> bool:
     return np.array_equal(a.flat, b.flat)
-
-
-def traced_peak(fn, *args) -> int:
-    """Bytes `fn(*args)` holds at its peak beyond what was live before."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture
