@@ -19,12 +19,16 @@ machine: cores, BLAS build, numpy and Python. The digests depend on the
 BLAS build and the CPU, so compare manifests taken on one machine; the
 run-to-run check is acceptance criterion 8.
 
+The manifest also holds the `fedad macs` table of each (config, layout)
+it runs, as printed; the table does not depend on the seed.
+
 Each run also records `peak_rss_mb`, the run's peak resident set size
 (the child's `ru_maxrss`, from `os.wait4`). It varies from run to run, so
 `--compare` does not read it.
 
-`--compare` prints every file digest, AUC, iteration count and MAC count
-that differs between two manifests, one per line, and exits 1 if any does.
+`--compare` prints every file digest, AUC, iteration count, MAC count and
+`fedad macs` table that differs between two manifests, one per line, and
+exits 1 if any does.
 """
 
 import argparse
@@ -76,6 +80,21 @@ def masked_summary(blob: bytes) -> bytes:
     return json.dumps(doc, indent=2, sort_keys=True).encode()
 
 
+def cli_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+
+def macs_table(name: str, arch: str) -> str:
+    """What `fedad macs` prints for one shipped config and layout."""
+    argv = [
+        sys.executable, "-m", "fedad.cli", "macs",
+        "--config", str(REPO / "configs" / f"{name}.json"), "--arch", arch,
+    ]
+    return subprocess.run(
+        argv, capture_output=True, text=True, check=True, env=cli_env(), cwd=REPO
+    ).stdout
+
+
 def run_one(name: str, seed: int, arch: str, work: Path) -> dict:
     """Run one experiment into `work` and describe what it wrote."""
     data = json.loads((REPO / "configs" / f"{name}.json").read_text())
@@ -86,10 +105,9 @@ def run_one(name: str, seed: int, arch: str, work: Path) -> dict:
         sys.executable, "-m", "fedad.cli", "run", "--config", str(config_path),
         "--seed", str(seed), "--arch", arch, "--out", str(out),
     ]
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     with tempfile.TemporaryFile("w+") as stderr:
         child = subprocess.Popen(
-            argv, stdout=subprocess.DEVNULL, stderr=stderr, text=True, env=env, cwd=REPO
+            argv, stdout=subprocess.DEVNULL, stderr=stderr, text=True, env=cli_env(), cwd=REPO
         )
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
@@ -126,6 +144,7 @@ def build_manifest(runs, work: Path) -> dict:
             f"{name}_seed{seed}_{arch}": run_one(name, seed, arch, work)
             for name, seed, arch in runs
         },
+        "macs_tables": {f"{name}_{arch}": macs_table(name, arch) for name, _, arch in runs},
     }
 
 
@@ -147,6 +166,10 @@ def compare(before: dict, after: dict) -> list[str]:
             for key in sorted(da.keys() | db.keys()):
                 if da.get(key) != db.get(key):
                     lines.append(f"{run}: {detector} {key} {da.get(key)} -> {db.get(key)}")
+    tables_a, tables_b = before["macs_tables"], after["macs_tables"]
+    for table in sorted(tables_a.keys() | tables_b.keys()):
+        if tables_a.get(table) != tables_b.get(table):
+            lines.append(f"{table}: fedad macs table moved")
     return lines
 
 

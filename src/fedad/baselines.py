@@ -304,11 +304,16 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     )
 
 
+# The baseline detectors: each is the solver of that name in this module,
+# mapped to the complex L x K by K x (M*N) products one iteration runs.
+BASELINES = {"ista": 2, "fista": 3, "amp": 2}
+
+
 def detect(
     detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events: Dataset
 ) -> tuple[np.ndarray, int]:
-    """Score every event with the baseline named `detector` (ista, fista or
-    amp) under the experiment's resolved solver settings.
+    """Score every event with the baseline named `detector` (a key of
+    BASELINES) under the experiment's resolved solver settings.
 
     Each event is one centralized problem: the dictionary sqrt(tx_power) *
     pilots, shared by all events, against the event's M APs' antennas
@@ -317,7 +322,7 @@ def detect(
     (n_events, K) recovered row energies and the most iterations any
     event used.
     """
-    if detector not in ("ista", "fista", "amp"):
+    if detector not in BASELINES:
         raise ValueError(f"unknown baseline detector {detector!r}")
     cfg = artifacts.config
     solver = resolve_solver(solver, artifacts)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import SolverConfig, colocate, detect
+from .baselines import BASELINES, SolverConfig, colocate, detect
 from .channel import build_dataset
 from .evaluation import RocCurve, ScoredTrials, detector_macs, roc_curve, slp_macs_per_ap
 from .federation import (
@@ -42,7 +42,7 @@ from .federation import (
 from .rng import substream
 from .scenario import ScenarioConfig, build_scenario
 
-ALL_DETECTORS = ("fl", "ista", "fista", "amp")
+ALL_DETECTORS = ("fl", *BASELINES)
 ALL_EMIT = ("roc_csv", "summary_json", "history_csv", "checkpoints")
 ARCHITECTURES = ("cellfree", "colocated")
 
@@ -355,13 +355,10 @@ def _mac_table(config: ExperimentConfig) -> str:
         ("fl_network", str(fl_network), str(fl_network), "-"),
     ]
     solver = config.solver
-    macs = {}
-    for detector, iters in (
-        ("ista", solver.max_iters), ("fista", solver.max_iters), ("amp", solver.amp_iters)
-    ):
-        macs[detector] = detector_macs(detector, cfg, iters)
-        rows.append((detector, *map(str, macs[detector]), str(iters)))
-    amp_c1, amp_c4 = macs["amp"]
+    for detector in BASELINES:
+        iters = solver.amp_iters if detector == "amp" else solver.max_iters
+        rows.append((detector, *map(str, detector_macs(detector, cfg, iters)), str(iters)))
+    amp_c1, amp_c4 = detector_macs("amp", cfg, solver.amp_iters)
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
     lines.append(
@@ -400,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override master seed")
     run_p.add_argument("--out", default=None, help="override output directory")
     run_p.add_argument(
-        "--detectors", default=None, help="comma-separated subset of fl,ista,fista,amp"
+        "--detectors", default=None, help=f"comma-separated subset of {','.join(ALL_DETECTORS)}"
     )
     run_p.add_argument("--arch", choices=ARCHITECTURES, default=None)
 

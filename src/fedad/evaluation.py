@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import BASELINES
 from .scenario import ScenarioConfig
 
 # Most points a returned ROC curve keeps; the AUC always uses them all.
@@ -131,19 +132,18 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
     conventions: (a complex MAC counted as 1, a complex MAC counted as 4
     real MACs).
 
-    FL is one real forward pass at every AP, the same under both. ISTA
-    and AMP do two L x K by K x (M*N) complex products per iteration on
-    the centralized antenna stack, and FISTA three (its momentum point
-    needs a residual of its own); all are priced at `iters`.
+    FL is one real forward pass at every AP, the same under both. A
+    baseline runs BASELINES[detector] L x K by K x (M*N) complex products
+    per iteration on the centralized antenna stack (FISTA three, as its
+    momentum point needs a residual of its own), priced at `iters`.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     if detector == "fl":
         macs = config.num_aps * slp_macs_per_ap(config)
         return macs, macs
-    if detector not in ("ista", "fista", "amp"):
+    if detector not in BASELINES:
         raise ValueError(f"no MAC model for detector {detector!r}")
     n_total = config.num_aps * config.antennas_per_ap
-    products = 3 if detector == "fista" else 2
-    complex_macs = iters * products * config.pilot_len * config.num_devices * n_total
+    complex_macs = iters * BASELINES[detector] * config.pilot_len * config.num_devices * n_total
     return complex_macs, 4 * complex_macs

@@ -115,6 +115,7 @@ def local_train(
             batch = order[start : start + fed.batch_size]
             grads = backward(params, features[batch], labels[batch])
             params, state = adam_step(params, grads, state)
+    grads = state = features = None  # freed before `moved`; rebound, as 0 epochs bind no grads
     moved = params.flat.astype(np.float64)
     moved -= origin
     moved += global_params.flat
@@ -237,6 +238,7 @@ def run_training(
     )
 
     m = cfg.num_aps
+    total_weight = float(m * fed.train_samples)
     shuffle_streams = shuffle_root.spawn(fed.rounds * m)
     server_state = None
     if fed.server_mode == "server-adam":
@@ -254,8 +256,8 @@ def run_training(
             local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])
             for ap in range(m)
         )
-        aggregated = aggregate(updates, total_weight=float(m * fed.train_samples))
-        params, server_state = server_step(params, aggregated, server_state)
+        # The aggregate goes straight in: no name holds it while the next round trains.
+        params, server_state = server_step(params, aggregate(updates, total_weight), server_state)
         history.heldout_bce.append(
             heldout_bce(params, heldout_data, artifacts.beta, cfg.cluster_size)
         )

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import fedad
+from fedad.baselines import BASELINES
 from fedad.cli import (
+    ALL_DETECTORS,
     ConfigError,
     _version_string,
     config_from_dict,
@@ -466,6 +468,27 @@ class TestMainEntry:
             ]
             if detector != "fl":
                 assert str(summary["iters"]) == rows[row][2]
+
+    def test_detector_set_is_fl_and_the_baseline_table(self, tmp_path, capsys):
+        names = ("fl", *BASELINES)
+        assert ALL_DETECTORS == names
+        assert config_from_dict({}).detectors == names
+        for name in names:
+            assert config_from_dict({"detectors": [name]}).detectors == (name,)
+        with pytest.raises(ConfigError, match="unknown detector 'mf'"):
+            config_from_dict({"detectors": ["mf"]})
+
+        assert main(["macs", "--config", str(self._write(tmp_path, {}))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == [
+            "detector", "fl_per_ap", "fl_network", *BASELINES,
+        ]
+        assert lines[-1].startswith("amp/fl network ratio:")
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert f"subset of {','.join(ALL_DETECTORS)}" in capsys.readouterr().out
 
     def test_run_smoke_exit_0(self, tmp_path, capsys):
         data = json.loads(json.dumps(SMOKE))

@@ -180,7 +180,7 @@ class TestMacOracle:
         complex_macs = iters * 3 * small_artifacts.pilots.size * n_total
         assert detector_macs("fista", cfg, iters) == (complex_macs, 4 * complex_macs)
 
-    @pytest.mark.parametrize("detector, products", [("ista", 2), ("fista", 3), ("amp", 2)])
+    @pytest.mark.parametrize("detector, products", list(baselines.BASELINES.items()))
     def test_solver_macs_match_the_products_a_solve_runs(
         self, small_artifacts, detector, products
     ):

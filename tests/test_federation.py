@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import fuse_cluster_scores, score_events_reference, traced_peak
 
 import fedad.federation as federation
+from fedad.baselines import colocate
 from fedad.channel import Dataset, build_dataset
 from fedad.federation import (
     FederationConfig,
@@ -513,6 +514,23 @@ class TestServerMemory:
             peaks[m] = traced_peak(run_training, artifacts, fed, substream(1, "fed"))
         vector_bytes = init_params(cfg, substream(0, "init")).flat.nbytes
         assert peaks[16] - peaks[4] < vector_bytes
+
+    def test_run_training_peak_on_wide_inputs(self):
+        # One colocated AP with 64 antennas: a parameter vector (4.3 MB)
+        # dwarfs the handful of events, so the peak counts the vectors
+        # training holds at once. Local training frees its gradient, Adam
+        # moments and float32 shard before it forms the float64 update, and
+        # no round's aggregate outlives its server step.
+        artifacts = colocate(build_scenario(ScenarioConfig(
+            num_aps=8, antennas_per_ap=8, num_devices=16, pilot_len=8,
+            hidden_units=512, cluster_size=2, master_seed=3,
+        )))
+        fed = FederationConfig(
+            rounds=2, local_epochs=1, batch_size=4, train_samples=8, eval_samples=4,
+        )
+        peak = traced_peak(run_training, artifacts, fed, substream(1, "fed"))
+        vector_bytes = init_params(artifacts.config, substream(0, "init")).flat.nbytes
+        assert peak / vector_bytes < 7.25
 
     def test_regeneration_holds_one_training_set(self):
         # 1,024 events of 2 APs (262 kB of features) and no local epochs:

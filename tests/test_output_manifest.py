@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from fedad.cli import main as fedad_main
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_manifest.py"
 
 
@@ -38,6 +40,12 @@ def test_manifest_schema_and_compare(tmp_path, capsys):
         summary["fl"]["iters"], summary["fl"]["macs_complex1"], summary["fl"]["macs_real4"],
     )
 
+    # The `fedad macs` table of the run's config and layout, as printed.
+    capsys.readouterr()
+    assert fedad_main(["macs", "--config", str(SCRIPT.parents[1] / "configs" / "smoke.json"),
+                       "--arch", "cellfree"]) == 0
+    assert manifest["macs_tables"] == {"smoke_cellfree": capsys.readouterr().out}
+
     # The masked summary digest ignores the run's timings and output path.
     assert script.main(["--out", str(tmp_path / "again.json"),
                         "--work", str(tmp_path / "elsewhere")]) == 0
@@ -60,3 +68,9 @@ def test_manifest_schema_and_compare(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == (
         f"smoke_seed0_cellfree: fl auc {fl['auc']} -> 0.5"
     )
+
+    repriced = json.loads(out.read_text())
+    repriced["macs_tables"]["smoke_cellfree"] += "a row more\n"
+    (tmp_path / "repriced.json").write_text(json.dumps(repriced))
+    assert script.main(["--compare", str(out), str(tmp_path / "repriced.json")]) == 1
+    assert capsys.readouterr().out.strip() == "smoke_cellfree: fedad macs table moved"
