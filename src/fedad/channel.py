@@ -67,8 +67,10 @@ def build_dataset(
     pilots: np.ndarray,
     n_samples: int,
     stream: np.random.Generator,
+    dtype: np.typing.DTypeLike = np.float64,
 ) -> Dataset:
-    """Generate n_samples labeled uplink events.
+    """Generate n_samples labeled uplink events, their features stored
+    as `dtype`.
 
     Each event owns an independent child stream, so datasets are
     reproducible regardless of how callers parallelize. Within an event all
@@ -77,6 +79,11 @@ def build_dataset(
     sqrt(tx_power) * pilot_k * g_k + CN(0, noise_var) noise, with gains
     g = sqrt(beta) * h and CN(0,1) fading h; silent devices add nothing,
     so only the active devices' gains are formed.
+
+    Each event is synthesized in float64 and its features are rounded
+    into the `dtype` array as they are written, so a float32 set holds
+    exactly the values of `build_dataset(...).features.astype(np.float32)`
+    without a float64 set ever existing.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples: must be >= 1, got {n_samples}")
@@ -84,7 +91,7 @@ def build_dataset(
     root_beta = np.sqrt(beta)[:, :, None]                           # (M, K, 1)
     amplitude = np.sqrt(config.tx_power)
     noise_scale = np.sqrt(config.noise_var / 2.0)
-    feat = np.empty((n_samples, m, config.feature_dim))
+    feat = np.empty((n_samples, m, config.feature_dim), dtype=dtype)
     labels = np.empty((n_samples, k), dtype=np.int8)
     for i, child in enumerate(stream.spawn(n_samples)):
         activity = sample_activity(config, child)

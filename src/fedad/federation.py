@@ -96,28 +96,32 @@ def local_train(
 ) -> LocalUpdate:
     """Train a copy of the global model on one AP's shard for
     fed.local_epochs epochs, in float32 (mixed precision, as in
-    Micikevicius et al., ICLR 2018): the copy, its Adam moments and the
-    shard are float32, cast once per call. The float64 update is the
-    global plus the float32 trajectory's displacement,
-    global + (p32 - origin) with origin the float32 cast of the global,
+    Micikevicius et al., ICLR 2018): the copy and its Adam moments are
+    float32, and so is the shard, which `run_training` stores as float32
+    (a float64 shard is cast once per call, to the same values). Each
+    gradient goes straight into its Adam step, so none outlives the step
+    that reads it. The float64 update is the global plus the float32
+    trajectory's displacement, global + (p32 - origin) with origin the
+    float32 cast of the global, cast afresh once the trajectory is dropped,
     so 0 epochs return the global bit for bit. The update is weighted by
     the shard size, as in federated averaging."""
     if features.shape[0] == 0:
         raise ValueError(f"AP {ap_index}: cannot train on an empty shard")
     n = features.shape[0]
-    origin = global_params.flat.astype(np.float32)
-    params = global_params.like(origin.copy())
-    features = features.astype(np.float32)
+    params = global_params.like(global_params.flat.astype(np.float32))
+    features = features.astype(np.float32, copy=False)
     state = init_adam(params, lr=fed.local_lr)
     for _ in range(fed.local_epochs):
         order = stream.permutation(n)
         for start in range(0, n, fed.batch_size):
             batch = order[start : start + fed.batch_size]
-            grads = backward(params, features[batch], labels[batch])
-            params, state = adam_step(params, grads, state)
-    grads = state = features = None  # freed before `moved`; rebound, as 0 epochs bind no grads
+            params, state = adam_step(
+                params, backward(params, features[batch], labels[batch]), state
+            )
+    del state, features  # freed before `moved`
     moved = params.flat.astype(np.float64)
-    moved -= origin
+    del params  # the float32 trajectory goes before origin is cast again
+    moved -= global_params.flat.astype(np.float32)
     moved += global_params.flat
     return LocalUpdate(params=global_params.like(moved), weight=float(n), ap_index=ap_index)
 
@@ -130,8 +134,9 @@ def aggregate(updates: Iterable[LocalUpdate], total_weight: float | None = None)
     Computed as base + sum_i c_i * (p_i - base), c_i = w_i / total, against
     the lowest-index update, which makes a single update and identical
     inputs exact, not just close. Each update is folded into the running
-    sum as it arrives, so the server holds three parameter vectors (base,
-    sum and one scratch) whatever the number of APs.
+    sum as it arrives, through a scratch vector that is dropped with the
+    update, so while the next AP trains the server holds two parameter
+    vectors (base and sum) whatever the number of APs.
 
     Without `total_weight`, `updates` is collected, sorted by ap_index and
     its weights summed first. With it, `updates` may be a generator that
@@ -152,16 +157,15 @@ def aggregate(updates: Iterable[LocalUpdate], total_weight: float | None = None)
         raise ValueError("aggregation weights must not all be zero")
     base = first.params.flat
     acc = base.copy()
-    delta = np.empty_like(base)
     summed, last = first.weight, first.ap_index
     for u in stream:
         if u.ap_index < last:
             raise ValueError(f"update from AP {u.ap_index} arrived after AP {last}")
-        np.subtract(u.params.flat, base, out=delta)
+        delta = u.params.flat - base
         delta *= u.weight / total_weight
         acc += delta
         summed, last = summed + u.weight, u.ap_index
-        del u  # the next AP trains without this update alive
+        del u, delta  # the next AP trains without this update or its scratch alive
     if summed != total_weight:
         raise ValueError(f"total_weight {total_weight} is not the updates' weight sum {summed}")
     return first.params.like(acc)
@@ -176,13 +180,17 @@ def server_step(
 
     Without a server Adam state (plain-average) the aggregate passes
     through. With one (server-adam), (current - aggregated) is a
-    pseudo-gradient for one Adam step on the current global model
-    (FedOpt, Reddi et al., ICLR 2021).
+    pseudo-gradient for one Adam step on a copy of the current global
+    model (FedOpt, Reddi et al., ICLR 2021). The step consumes
+    `aggregated`: nothing reads the aggregate once the pseudo-gradient is
+    formed, so the pseudo-gradient is written into its buffer, which
+    holds current - aggregated on return and must not be
+    `current_global`'s. `current_global` is left as it was.
     """
     if server_state is None:
         return aggregated, None
-    pseudo_grad = current_global.like(current_global.flat - aggregated.flat)
-    return adam_step(current_global.copy(), pseudo_grad, server_state)
+    pseudo_grad = np.subtract(current_global.flat, aggregated.flat, out=aggregated.flat)
+    return adam_step(current_global.copy(), current_global.like(pseudo_grad), server_state)
 
 
 def score_events(
@@ -230,8 +238,10 @@ def run_training(
     init_stream, data_stream, heldout_stream, shuffle_root = stream.spawn(4)
 
     params = init_params(cfg, init_stream)
+    # Local training reads float32, so the training sets are stored so; the
+    # held-out set, which the float64 global model scores, stays float64.
     train_data = build_dataset(
-        cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream
+        cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream, np.float32
     )
     heldout_data = build_dataset(
         cfg, artifacts.beta, artifacts.pilots, fed.eval_samples, heldout_stream
@@ -250,7 +260,8 @@ def run_training(
         if fed.regenerate_each_round and rnd > 0:
             train_data = None  # free the last round's set before drawing the next
             train_data = build_dataset(
-                cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream
+                cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream,
+                np.float32,
             )
         updates = (
             local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])

@@ -20,6 +20,7 @@ from oracles import (
     unit_column_dictionary,
 )
 
+import fedad
 from fedad.baselines import (
     MmvProblem,
     SolverConfig,
@@ -308,6 +309,7 @@ def test_criterion_7_mac_cost_claim(capsys):
 
 def _run_cli(config_path, out_dir, threads):
     env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fedad.__file__).resolve().parent.parent)
     env["OMP_NUM_THREADS"] = str(threads)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     result = subprocess.run(

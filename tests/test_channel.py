@@ -264,6 +264,28 @@ class TestBuildDataset:
         assert np.array_equal(ds.features, ref.features)
         assert 0 < ds.labels.sum() < ds.labels.size
 
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(area_side_km=0.5, num_aps=8, num_devices=40, pilot_len=20), dict()],
+        ids=["desk", "paper"],
+    )
+    def test_float32_set_is_the_float64_set_rounded(self, shape):
+        # A float32 set is written event by event; it must hold the float32
+        # rounding of the float64 set's features, byte for byte.
+        cfg = ScenarioConfig(
+            antennas_per_ap=2, cluster_size=4, tx_power=1e12, master_seed=42, **shape
+        )
+        art = build_scenario(cfg)
+        wide = build_dataset(cfg, art.beta, art.pilots, 64, substream(13, "data"))
+        narrow = build_dataset(
+            cfg, art.beta, art.pilots, 64, substream(13, "data"), dtype=np.float32
+        )
+        assert wide.features.dtype == np.float64
+        assert narrow.features.dtype == np.float32
+        assert narrow.features.tobytes() == wide.features.astype(np.float32).tobytes()
+        assert np.array_equal(narrow.labels, wide.labels)
+        assert narrow.labels.dtype == wide.labels.dtype
+
     def test_rejects_empty(self, small_config, small_artifacts):
         with pytest.raises(ValueError):
             build_dataset(

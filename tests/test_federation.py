@@ -227,7 +227,8 @@ class TestServerStep:
     def test_zero_pseudo_gradient(self):
         current = scalar_params(0.5)
         state = init_adam(current, lr=1e-3)
-        out, state2 = server_step(current, current, state)
+        # An aggregate equal to the global, in its own buffer: the step consumes it.
+        out, state2 = server_step(current, current.copy(), state)
         assert params_equal(out, current)
         assert state2.step_count == 1
 
@@ -515,25 +516,44 @@ class TestServerMemory:
         vector_bytes = init_params(cfg, substream(0, "init")).flat.nbytes
         assert peaks[16] - peaks[4] < vector_bytes
 
-    def test_run_training_peak_on_wide_inputs(self):
+    @staticmethod
+    def _wide_colocated():
         # One colocated AP with 64 antennas: a parameter vector (4.3 MB)
-        # dwarfs the handful of events, so the peak counts the vectors
-        # training holds at once. Local training frees its gradient, Adam
-        # moments and float32 shard before it forms the float64 update, and
-        # no round's aggregate outlives its server step.
-        artifacts = colocate(build_scenario(ScenarioConfig(
+        # dwarfs the handful of events, so a peak counts the vectors
+        # training holds at once.
+        return colocate(build_scenario(ScenarioConfig(
             num_aps=8, antennas_per_ap=8, num_devices=16, pilot_len=8,
             hidden_units=512, cluster_size=2, master_seed=3,
         )))
+
+    def test_run_training_peak_on_wide_inputs(self):
+        # No round's aggregate outlives its server step, and the server
+        # step writes its pseudo-gradient into the aggregate's buffer.
+        artifacts = self._wide_colocated()
         fed = FederationConfig(
             rounds=2, local_epochs=1, batch_size=4, train_samples=8, eval_samples=4,
         )
         peak = traced_peak(run_training, artifacts, fed, substream(1, "fed"))
         vector_bytes = init_params(artifacts.config, substream(0, "init")).flat.nbytes
-        assert peak / vector_bytes < 7.25
+        assert peak / vector_bytes < 6.25
 
-    def test_regeneration_holds_one_training_set(self):
-        # 1,024 events of 2 APs (262 kB of features) and no local epochs:
+    def test_local_train_peak_on_wide_inputs(self):
+        # Counted in float32 vectors (2.1 MB): the trajectory, its two Adam
+        # moments, one gradient and the Adam step's scratch, with no
+        # float32 cast of the global kept beside them and no gradient
+        # alive past its step.
+        artifacts = self._wide_colocated()
+        cfg = artifacts.config
+        ds = build_dataset(
+            cfg, artifacts.beta, artifacts.pilots, 8, substream(2, "data"), dtype=np.float32
+        )
+        params = init_params(cfg, substream(0, "init"))
+        fed = FederationConfig(rounds=1, local_epochs=2, batch_size=4, train_samples=8)
+        peak = traced_peak(local_train, params, *ds.shard(0), fed, 0, substream(3, "sh"))
+        assert peak / params.flat.astype(np.float32).nbytes < 5.25
+
+    def test_regeneration_holds_one_training_set(self, monkeypatch):
+        # 1,024 events of 2 APs (131 kB of float32 features), no local epochs:
         # the training sets dominate, and drawing a fresh one each round
         # must not hold the last one alive while it is drawn.
         cfg = ScenarioConfig(
@@ -547,7 +567,19 @@ class TestServerMemory:
         fixed = traced_peak(run_training, artifacts, fed, substream(2, "fed"))
         fresh_fed = replace(fed, regenerate_each_round=True)
         fresh = traced_peak(run_training, artifacts, fresh_fed, substream(2, "fed"))
-        set_bytes = fed.train_samples * cfg.num_aps * cfg.feature_dim * 8
+        # A set's size is what run_training stores: its own feature itemsize.
+        itemsizes = set()
+
+        def recording_build_dataset(*args):
+            ds = build_dataset(*args)
+            if args[3] == fed.train_samples:
+                itemsizes.add(ds.features.itemsize)
+            return ds
+
+        monkeypatch.setattr(federation, "build_dataset", recording_build_dataset)
+        run_training(artifacts, fresh_fed, substream(2, "fed"))
+        (itemsize,) = itemsizes
+        set_bytes = fed.train_samples * cfg.num_aps * cfg.feature_dim * itemsize
         assert fresh - fixed < set_bytes // 2
 
     @pytest.mark.parametrize("num_aps", [4, 16, 32])
@@ -602,8 +634,18 @@ class TestInputsUntouched:
         before = (current.flat.tobytes(), agg.flat.tobytes())
         state = init_adam(current, lr=1e-2) if mode == "server-adam" else None
         out, _ = server_step(current, agg, state)
-        assert (current.flat.tobytes(), agg.flat.tobytes()) == before
-        if mode == "server-adam":
+        assert current.flat.tobytes() == before[0]
+        if mode == "plain-average":
+            assert agg.flat.tobytes() == before[1]
+        else:
+            # The step consumes the aggregate: its buffer now holds the
+            # pseudo-gradient, and the step is the one run on copies.
+            pseudo_grad = current.flat - np.frombuffer(before[1])
+            assert agg.flat.tobytes() == pseudo_grad.tobytes()
+            expected, _ = adam_step(
+                current.copy(), current.like(pseudo_grad), init_adam(current, lr=1e-2)
+            )
+            assert out.flat.tobytes() == expected.flat.tobytes()
             assert not np.shares_memory(out.flat, current.flat)
             assert out.flat.tobytes() != before[0]
 
