@@ -180,17 +180,17 @@ def server_step(
 
     Without a server Adam state (plain-average) the aggregate passes
     through. With one (server-adam), (current - aggregated) is a
-    pseudo-gradient for one Adam step on a copy of the current global
-    model (FedOpt, Reddi et al., ICLR 2021). The step consumes
-    `aggregated`: nothing reads the aggregate once the pseudo-gradient is
-    formed, so the pseudo-gradient is written into its buffer, which
-    holds current - aggregated on return and must not be
-    `current_global`'s. `current_global` is left as it was.
+    pseudo-gradient for one Adam step on the current global model
+    (FedOpt, Reddi et al., ICLR 2021). The step consumes both inputs,
+    since the caller reads neither again: the pseudo-gradient is written
+    into the aggregate's buffer, which holds current - aggregated on
+    return and must not be `current_global`'s, and the global model is
+    stepped in place, so the model returned is `current_global` itself.
     """
     if server_state is None:
         return aggregated, None
     pseudo_grad = np.subtract(current_global.flat, aggregated.flat, out=aggregated.flat)
-    return adam_step(current_global.copy(), current_global.like(pseudo_grad), server_state)
+    return adam_step(current_global, current_global.like(pseudo_grad), server_state)
 
 
 def score_events(
@@ -230,7 +230,9 @@ def run_training(
     """Full federated run: R rounds of broadcast, local training at all M
     APs, shard-size weighted aggregation, and the server step. Per-AP
     shards are the APs' own views of a single shared event set, generated
-    once (or fresh each round when regenerate_each_round is set).
+    once (or fresh each round when regenerate_each_round is set: round
+    r's set is events r*n, ..., r*n + n - 1 of the data stream, n =
+    train_samples, as if each round spawned its n children in turn).
 
     Returns the global model and the per-round history.
     """
@@ -261,7 +263,7 @@ def run_training(
             train_data = None  # free the last round's set before drawing the next
             train_data = build_dataset(
                 cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream,
-                np.float32,
+                np.float32, rnd * fed.train_samples,
             )
         updates = (
             local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])

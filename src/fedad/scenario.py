@@ -1,5 +1,6 @@
-"""Static experiment world: geometry, large-scale fading, pilot book,
-and sparse device-activity realizations.
+"""Static experiment world: geometry, large-scale fading and pilot book.
+Each event's sparse device activity is drawn with its channels, in
+`channel.build_dataset`.
 
 All powers are linear and expressed relative to the per-sample noise
 power, i.e. ``noise_var = 1.0`` means the AWGN has unit variance per
@@ -123,12 +124,6 @@ def generate_pilots(config: ScenarioConfig, stream: np.random.Generator) -> np.n
     shape = (config.pilot_len, config.num_devices)
     raw = (stream.standard_normal(shape) + 1j * stream.standard_normal(shape)) / np.sqrt(2.0)
     return raw / np.linalg.norm(raw, axis=0, keepdims=True)
-
-
-def sample_activity(config: ScenarioConfig, stream: np.random.Generator) -> np.ndarray:
-    """One Bernoulli(activation_prob) activity vector of length K, entries 0/1."""
-    draws = stream.random(config.num_devices)
-    return (draws < config.activation_prob).astype(np.int8)
 
 
 def build_scenario(config: ScenarioConfig) -> ScenarioArtifacts:

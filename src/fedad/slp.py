@@ -147,11 +147,11 @@ def backward(params: SlpParams, features: np.ndarray, labels: np.ndarray) -> Slp
     d2 = (scores - labels) / (batch * k)            # (B, K)
     grads = params.like(np.empty_like(params.flat))
     np.matmul(d2.T, cache["hidden"], out=grads.w2)
-    np.sum(d2, axis=0, out=grads.b2)
+    np.add.reduce(d2, axis=0, out=grads.b2)         # np.sum without its wrapper
     d1 = d2 @ params.w2                             # (B, V)
     d1 *= cache["hidden"] > 0.0                     # the ReLU mask: z1 > 0
     np.matmul(d1.T, features, out=grads.w1)
-    np.sum(d1, axis=0, out=grads.b1)
+    np.add.reduce(d1, axis=0, out=grads.b1)
     return grads
 
 

@@ -9,8 +9,7 @@ import tracemalloc
 import numpy as np
 
 from fedad.baselines import SolverDivergenceError, SparseEstimate
-from fedad.channel import Dataset, features_from_received
-from fedad.scenario import sample_activity
+from fedad.channel import Dataset
 from fedad.slp import bce_loss, forward
 
 
@@ -57,6 +56,21 @@ def efficient_adam_step(leaves, grads, first, second, step, lr, beta1, beta2, ep
         p - (lr_t / (np.sqrt(v) + eps_hat)) * m for p, m, v in zip(leaves, first, second)
     ]
     return leaves, first, second
+
+
+def sample_activity(config, stream):
+    """One Bernoulli(activation_prob) activity vector of length K, entries 0/1."""
+    draws = stream.random(config.num_devices)
+    return (draws < config.activation_prob).astype(np.int8)
+
+
+def features_from_received(received):
+    """Flatten L x N observations to real vectors of length 2*L*N, over any
+    leading batch axes: (..., L, N) observations map to (..., 2*L*N)
+    features, each antenna's column in turn, real parts ahead of
+    imaginary parts."""
+    flat = received.swapaxes(-1, -2).reshape(received.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def draw_channels(beta, config, stream):

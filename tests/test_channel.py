@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from oracles import (
     build_dataset_reference,
     draw_channels,
+    features_from_received,
     received_signals_reference,
     synthesize_received,
 )
 
-from fedad.channel import build_dataset, features_from_received, received_from_features
+from fedad.channel import build_dataset, received_from_features
 from fedad.rng import substream
 from fedad.scenario import ScenarioConfig, build_scenario, generate_pilots
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_activity
 
 from fedad.rng import substream
 from fedad.scenario import (
@@ -12,7 +13,6 @@ from fedad.scenario import (
     generate_geometry,
     generate_pilots,
     large_scale_fading,
-    sample_activity,
 )
 
 
