@@ -203,33 +203,41 @@ def _proximal_gradient(
 
     Without acceleration Z is the last iterate, whose residual the
     objective already computed. With it, Z follows the Nesterov momentum
-    sequence t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 (FISTA). Stops at
-    max_iters or when the relative objective change drops below tol.
+    sequence t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 (FISTA):
+    Z = X_new + c (X_new - X) with c = (t_j - 1) / t_{j+1}. Its residual
+    is then R_new + c (R_new - R), formed from the residuals of X_new and
+    X, so an iteration runs two dictionary products either way. Both
+    residuals are computed afresh from their iterates, so no rounding
+    accumulates across iterations. Stops at max_iters or when the
+    relative objective change drops below tol.
     """
     s = problem.dictionary
     s_h = s.conj().T
     y = problem.observations
     lam, mu = solver.lam, solver.step_size
     x = z = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
-    residual = y - s @ x
+    # At X = 0 the residual Y - S X is Y.
+    residual = residual_z = y.copy()
     trace = [lasso_objective(residual, 0.0, lam)]
     t = 1.0
     increases = 0
     iterations = 0
     for _ in range(solver.max_iters):
         # The gradient step Z + mu * S^H (Y - S Z), formed and shrunk in place.
-        x_new = s_h @ (y - s @ z if accelerate else residual)
+        x_new = s_h @ residual_z
         x_new *= mu
         x_new += z
         norms, scale = _shrink_rows(x_new, mu * lam)
+        residual_new = y - s @ x_new
         if accelerate:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            c = (t - 1.0) / t_new
+            z = x_new + c * (x_new - x)
+            residual_z = residual_new + c * (residual_new - residual)
             t = t_new
         else:
-            z = x_new
-        x = x_new
-        residual = y - s @ x
+            z, residual_z = x_new, residual_new
+        x, residual = x_new, residual_new
         # The penalty reads x's row norms off the shrink: norms * scale.
         trace.append(lasso_objective(residual, norms @ scale, lam))
         iterations += 1
@@ -306,14 +314,18 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
 
 # The baseline detectors: each is the solver of that name in this module,
 # mapped to the complex L x K by K x (M*N) products one iteration runs.
-BASELINES = {"ista": 2, "fista": 3, "amp": 2}
+# Each runs S^H R and S X per iteration, and no set-up product, as every
+# solve starts from R = Y; FISTA forms its momentum point's residual from
+# the residuals of its last two iterates.
+BASELINES = {"ista": 2, "fista": 2, "amp": 2}
 
 
 def detect(
     detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events: Dataset
 ) -> tuple[np.ndarray, int]:
     """Score every event with the baseline named `detector` (a key of
-    BASELINES) under the experiment's resolved solver settings.
+    BASELINES); ISTA and FISTA run under the experiment's resolved
+    solver settings (resolve_solver).
 
     Each event is one centralized problem: the dictionary sqrt(tx_power) *
     pilots, shared by all events, against the event's M APs' antennas
@@ -325,7 +337,10 @@ def detect(
     if detector not in BASELINES:
         raise ValueError(f"unknown baseline detector {detector!r}")
     cfg = artifacts.config
-    solver = resolve_solver(solver, artifacts)
+    if detector != "amp":
+        # AMP reads neither lam nor step_size, so it skips the SVD that
+        # resolving the step size runs.
+        solver = resolve_solver(solver, artifacts)
     # Looked up at call time, so that whatever the module name is bound to
     # then (a tracing wrapper, say) is what runs.
     solve = globals()[detector]

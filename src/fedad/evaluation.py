@@ -134,8 +134,9 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
 
     FL is one real forward pass at every AP, the same under both. A
     baseline runs BASELINES[detector] L x K by K x (M*N) complex products
-    per iteration on the centralized antenna stack (FISTA three, as its
-    momentum point needs a residual of its own), priced at `iters`.
+    per iteration on the centralized antenna stack, priced at `iters`:
+    S^H R and S X for each, as FISTA forms its momentum point's residual
+    from the residuals of its last two iterates.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")

@@ -193,7 +193,10 @@ def ista_reference(problem, solver):
 
 
 def fista_reference(problem, solver):
-    """FISTA written out on its own, with the Nesterov t-sequence inline."""
+    """FISTA written out on its own, with the Nesterov t-sequence inline
+    and the residual at the momentum point recomputed as Y - S Z, a third
+    dictionary product per iteration. The solver forms that residual
+    from two it already holds, so the two agree up to rounding only."""
     s = problem.dictionary
     y = problem.observations
     lam = solver.lam
@@ -220,13 +223,18 @@ def fista_reference(problem, solver):
 
 
 def shrink_form_reference(problem, solver, accelerate):
-    """ISTA (accelerate=False) or FISTA written out with the objective
-    taken from what the iteration already holds: the data term is
-    0.5 * Re <R, R>, one complex dot of the residual R = Y - S X with
-    itself, and the penalty is lam * sum_k ||g_k|| * scale_k, the row
-    norms of the gradient step g before the shrink times the shrink's
-    factors. That is lam * sum_k ||x_k|| up to rounding, and exactly 0
-    for a dropped row."""
+    """ISTA (accelerate=False) or FISTA written out with every quantity
+    taken from what the iteration already holds.
+
+    The objective's data term is 0.5 * Re <R, R>, one complex dot of the
+    residual R = Y - S X with itself, and its penalty is
+    lam * sum_k ||g_k|| * scale_k, the row norms of the gradient step g
+    before the shrink times the shrink's factors. That is
+    lam * sum_k ||x_k|| up to rounding, and exactly 0 for a dropped row.
+
+    FISTA's momentum point Z = X_new + c (X_new - X) takes its residual
+    Y - S Z as R_new + c (R_new - R), from the residuals of X_new and X,
+    which equals it up to rounding."""
     s = problem.dictionary
     y = problem.observations
     lam = solver.lam
@@ -235,20 +243,25 @@ def shrink_form_reference(problem, solver, accelerate):
     z = x.copy()
     t = 1.0
     residual = y - s @ x
+    residual_z = residual
     trace = [0.5 * float(np.vdot(residual, residual).real) + lam * 0.0]
     increases = 0
     iterations = 0
     for _ in range(solver.max_iters):
-        grad_step = z + mu * (s.conj().T @ (y - s @ z))
+        grad_step = z + mu * (s.conj().T @ residual_z)
         x_new, norms, scale = _reference_shrink(grad_step, mu * lam)
+        residual_new = y - s @ x_new
         if accelerate:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            c = (t - 1.0) / t_new
+            z = x_new + c * (x_new - x)
+            residual_z = residual_new + c * (residual_new - residual)
             t = t_new
         else:
             z = x_new
+            residual_z = residual_new
         x = x_new
-        residual = y - s @ x
+        residual = residual_new
         data_term = 0.5 * float(np.vdot(residual, residual).real)
         trace.append(data_term + lam * float(np.dot(norms, scale)))
         iterations += 1
