@@ -14,7 +14,10 @@ four emit kinds. The set is `configs/smoke.json` at seeds 0-2 and
 Per run the manifest holds the sha256 of every output file, with
 `summary.json` hashed after masking what differs between identical runs
 (each `runtime_s`, `version` and the echoed `output_dir`); every AUC as
-`repr(float)`; and each detector's `iters` and MACs. It also records the
+`repr(float)`; and each detector's `iters` and MACs. The summary's
+`config_echo` is hashed apart from the rest of it, as `config_echo`, so
+that a change to the config schema and a change to the results show as
+different lines in `--compare`. It also records the
 machine: cores, BLAS build, numpy and Python. The digests depend on the
 BLAS build and the CPU, so compare manifests taken on one machine; the
 run-to-run check is acceptance criterion 8.
@@ -26,9 +29,9 @@ Each run also records `peak_rss_mb`, the run's peak resident set size
 (the child's `ru_maxrss`, from `os.wait4`). It varies from run to run, so
 `--compare` does not read it.
 
-`--compare` prints every file digest, AUC, iteration count, MAC count and
-`fedad macs` table that differs between two manifests, one per line, and
-exits 1 if any does.
+`--compare` prints every file digest, config echo, AUC, iteration count,
+MAC count and `fedad macs` table that differs between two manifests, one
+per line, and exits 1 if any does.
 """
 
 import argparse
@@ -70,14 +73,19 @@ def machine() -> dict:
     }
 
 
-def masked_summary(blob: bytes) -> bytes:
-    doc = json.loads(blob)
-    for value in doc.values():
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def summary_digests(summary: dict) -> tuple[str, str]:
+    """Digests of `summary` without its config echo, and of the echo, each
+    with what differs between identical runs masked."""
+    doc = {**summary, "version": None}
+    echo = {**doc.pop("config_echo"), "output_dir": None}
+    for key, value in doc.items():
         if isinstance(value, dict) and "runtime_s" in value:
-            value["runtime_s"] = None
-    doc["version"] = None
-    doc["config_echo"]["output_dir"] = None
-    return json.dumps(doc, indent=2, sort_keys=True).encode()
+            doc[key] = {**value, "runtime_s": None}
+    return _digest(doc), _digest(echo)
 
 
 def cli_env() -> dict:
@@ -123,8 +131,9 @@ def run_one(name: str, seed: int, arch: str, work: Path) -> dict:
         blob = path.read_bytes()
         if path.name == "summary.json":
             summary = json.loads(blob)
-            blob = masked_summary(blob)
-        record["files"][path.name] = hashlib.sha256(blob).hexdigest()
+            record["files"][path.name], record["config_echo"] = summary_digests(summary)
+        else:
+            record["files"][path.name] = hashlib.sha256(blob).hexdigest()
     for detector, res in summary.items():
         if not (isinstance(res, dict) and "auc" in res):
             continue
@@ -161,6 +170,8 @@ def compare(before: dict, after: dict) -> list[str]:
         for name in sorted(a["files"].keys() | b["files"].keys()):
             if a["files"].get(name) != b["files"].get(name):
                 lines.append(f"{run}: {name} moved")
+        if a.get("config_echo") != b.get("config_echo"):
+            lines.append(f"{run}: config_echo moved")
         for detector in sorted(a["detectors"].keys() | b["detectors"].keys()):
             da, db = a["detectors"].get(detector, {}), b["detectors"].get(detector, {})
             for key in sorted(da.keys() | db.keys()):

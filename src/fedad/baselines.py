@@ -11,6 +11,7 @@ Activity is then read off the recovered row energies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,15 +27,15 @@ class SolverDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MmvProblem:
-    """Joint-sparsity recovery instance.
+    """The joint-sparsity dictionary that every event of an experiment is
+    solved against; the solvers take it beside one event's observations,
+    (L, C) complex with C = total antennas stacked column-wise.
 
-    dictionary:   (L, K) complex, every column of norm sqrt(rho)
-    observations: (L, C) complex, C = total antennas stacked column-wise
-    rho:          common squared column norm (transmit power scale)
+    dictionary: (L, K) complex, every column of norm sqrt(rho)
+    rho:        common squared column norm (transmit power scale)
     """
 
     dictionary: np.ndarray
-    observations: np.ndarray
     rho: float
 
     def __post_init__(self) -> None:
@@ -44,8 +45,13 @@ class MmvProblem:
         deviation = np.abs(_row_norms(self.dictionary.T) - target)
         if not np.all(deviation <= atol + 1e-5 * target):
             raise ValueError("dictionary columns must have norm sqrt(rho)")
-        if self.observations.shape[0] != self.dictionary.shape[0]:
-            raise ValueError("observation rows must match dictionary rows")
+
+    @functools.cached_property
+    def step_size(self) -> float:
+        """The ISTA/FISTA step, default_step_size of the dictionary; it is
+        computed when first read, so AMP, which never reads it, never
+        pays for it."""
+        return default_step_size(self.dictionary)
 
 
 @dataclass(frozen=True)
@@ -53,17 +59,16 @@ class SolverConfig:
     """Knobs shared by the iterative solvers.
 
     lam: row-group regularization weight (ISTA/FISTA).
-    step_size: proximal-gradient step (ISTA/FISTA).
     amp_alpha: AMP threshold multiplier.
 
-    None in lam or step_size stands for the experiment's default, which
-    resolve_solver fills in; ista and fista take resolved settings.
+    A None lam stands for the experiment's default, which resolve_solver
+    fills in; ista and fista take resolved settings. Their step is not a
+    setting: it is the problem's step_size, 1 / ||S||_2^2.
     """
 
     lam: float | None = None
     max_iters: int = 200
     tol: float = 1e-8
-    step_size: float | None = None
     amp_iters: int = 25
     amp_alpha: float = 1.5
 
@@ -75,8 +80,6 @@ class SolverConfig:
             raise ValueError(f"lambda: must be >= 0, got {self.lam}")
         if self.tol < 0:
             raise ValueError(f"tol: must be >= 0, got {self.tol}")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError(f"step_size: must be > 0, got {self.step_size}")
         if self.amp_iters < 0:
             raise ValueError(f"amp_iters: must be >= 0, got {self.amp_iters}")
         if self.amp_alpha < 0:
@@ -162,29 +165,23 @@ def default_step_size(dictionary: np.ndarray) -> float:
     return 1.0 / float(np.linalg.norm(dictionary, 2) ** 2)
 
 
-def resolve_solver(solver: SolverConfig, artifacts: ScenarioArtifacts) -> SolverConfig:
-    """The experiment's solver settings: a None lam or step_size becomes
-    its default (default_lambda, and 1 / ||S||_2^2 of the shared
-    dictionary S = sqrt(tx_power) * pilots); set values pass through."""
-    cfg = artifacts.config
+def resolve_solver(solver: SolverConfig, config: ScenarioConfig) -> SolverConfig:
+    """The experiment's solver settings: a None lam becomes
+    default_lambda(config); a set lam passes through."""
     if solver.lam is None:
-        solver = replace(solver, lam=default_lambda(cfg))
-    if solver.step_size is None:
-        dictionary = np.sqrt(cfg.tx_power) * artifacts.pilots
-        solver = replace(solver, step_size=default_step_size(dictionary))
+        solver = replace(solver, lam=default_lambda(config))
     return solver
 
 
-def _check_divergence(trace: list[float], increases: int, f0: float) -> int:
-    """Count consecutive objective increases; five in a row above the
-    starting objective signals a bad step size."""
-    if len(trace) < 2:
-        return increases
+def _check_divergence(trace: list[float], increases: int) -> int:
+    """Count consecutive objective increases over a trace of at least two
+    objectives; five in a row above the starting objective trace[0]
+    signals a bad step size."""
     if trace[-1] > trace[-2] * (1.0 + 1e-12) + 1e-300:
         increases += 1
     else:
         increases = 0
-    if increases >= 5 and trace[-1] > f0:
+    if increases >= 5 and trace[-1] > trace[0]:
         raise SolverDivergenceError(
             "objective increased for 5 consecutive iterations; "
             "step size is too large for this instance"
@@ -193,13 +190,14 @@ def _check_divergence(trace: list[float], increases: int, f0: float) -> int:
 
 
 def _proximal_gradient(
-    problem: MmvProblem, solver: SolverConfig, accelerate: bool
+    problem: MmvProblem, observations: np.ndarray, solver: SolverConfig, accelerate: bool
 ) -> SparseEstimate:
-    """Proximal-gradient iteration for the row-sparse LASSO, from X = 0:
+    """Proximal-gradient iteration for the row-sparse LASSO on one event's
+    observations Y, from X = 0:
 
-        X <- rowprox(Z + mu * S^H (Y - S Z), mu * lam),  mu = step_size,
+        X <- rowprox(Z + mu * S^H (Y - S Z), mu * lam),  mu = problem.step_size,
 
-    with lam and step_size as resolve_solver sets them.
+    with lam as resolve_solver sets it.
 
     Without acceleration Z is the last iterate, whose residual the
     objective already computed. With it, Z follows the Nesterov momentum
@@ -213,8 +211,8 @@ def _proximal_gradient(
     """
     s = problem.dictionary
     s_h = s.conj().T
-    y = problem.observations
-    lam, mu = solver.lam, solver.step_size
+    y = observations
+    lam, mu = solver.lam, problem.step_size
     x = z = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     # At X = 0 the residual Y - S X is Y.
     residual = residual_z = y.copy()
@@ -241,7 +239,7 @@ def _proximal_gradient(
         # The penalty reads x's row norms off the shrink: norms * scale.
         trace.append(lasso_objective(residual, norms @ scale, lam))
         iterations += 1
-        increases = _check_divergence(trace, increases, trace[0])
+        increases = _check_divergence(trace, increases)
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
         if rel < solver.tol:
             break
@@ -253,20 +251,21 @@ def _proximal_gradient(
     )
 
 
-def ista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
-    """ISTA; its objective trace (including the X = 0 start) is
-    nonincreasing for any step up to 1 / ||S||_2^2 (default_step_size)."""
-    return _proximal_gradient(problem, solver, accelerate=False)
+def ista(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> SparseEstimate:
+    """ISTA on one event's (L, C) observations; its objective trace
+    (including the X = 0 start) is nonincreasing at the problem's step,
+    1 / ||S||_2^2, and at any smaller one."""
+    return _proximal_gradient(problem, observations, solver, accelerate=False)
 
 
-def fista(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
+def fista(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> SparseEstimate:
     """FISTA; its objective trace need not be monotone, but on these convex
     instances the final objective matches ISTA's at equal iteration
     budgets to high accuracy."""
-    return _proximal_gradient(problem, solver, accelerate=True)
+    return _proximal_gradient(problem, observations, solver, accelerate=True)
 
 
-def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
+def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> SparseEstimate:
     """Approximate message passing with a row soft-threshold denoiser and
     the Onsager residual correction.
 
@@ -284,7 +283,7 @@ def amp(problem: MmvProblem, solver: SolverConfig) -> SparseEstimate:
     takes entries above about 1e153.
     """
     a = problem.dictionary / np.sqrt(problem.rho)
-    y = problem.observations
+    y = observations
     ell = a.shape[0]
     alpha = solver.amp_alpha
     a_h = a.conj().T
@@ -324,35 +323,31 @@ def detect(
     detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events: Dataset
 ) -> tuple[np.ndarray, int]:
     """Score every event with the baseline named `detector` (a key of
-    BASELINES); ISTA and FISTA run under the experiment's resolved
-    solver settings (resolve_solver).
+    BASELINES), under the experiment's resolved solver settings
+    (resolve_solver).
 
-    Each event is one centralized problem: the dictionary sqrt(tx_power) *
-    pilots, shared by all events, against the event's M APs' antennas
-    stacked column-wise. Events are decoded one at a time, so the decoded
-    observations of only one event are held at once. Returns the
-    (n_events, K) recovered row energies and the most iterations any
-    event used.
+    Every event is solved against one MmvProblem, built and checked once
+    per call: the dictionary sqrt(tx_power) * pilots. An event's
+    observations are its M APs' antennas stacked column-wise. Events are
+    decoded one at a time, so the decoded observations of only one event
+    are held at once. Returns the (n_events, K) recovered row energies and
+    the most iterations any event used.
     """
     if detector not in BASELINES:
         raise ValueError(f"unknown baseline detector {detector!r}")
     cfg = artifacts.config
-    if detector != "amp":
-        # AMP reads neither lam nor step_size, so it skips the SVD that
-        # resolving the step size runs.
-        solver = resolve_solver(solver, artifacts)
+    solver = resolve_solver(solver, cfg)
     # Looked up at call time, so that whatever the module name is bound to
     # then (a tracing wrapper, say) is what runs.
     solve = globals()[detector]
-    dictionary = np.sqrt(cfg.tx_power) * artifacts.pilots
+    problem = MmvProblem(np.sqrt(cfg.tx_power) * artifacts.pilots, cfg.tx_power)
     n_events, m = events.features.shape[:2]
     ell, n = cfg.pilot_len, cfg.antennas_per_ap
     stats = np.empty((n_events, cfg.num_devices))
     iters = 0
     for i in range(n_events):
         event = received_from_features(events.features[i], ell, n)  # (M, L, N)
-        observations = event.transpose(1, 0, 2).reshape(ell, m * n)
-        est = solve(MmvProblem(dictionary, observations, cfg.tx_power), solver)
+        est = solve(problem, event.transpose(1, 0, 2).reshape(ell, m * n), solver)
         stats[i] = est.activity_stat
         iters = max(iters, est.iterations_used)
     return stats, iters

@@ -66,9 +66,6 @@ class SlpParams:
         """This layout over `flat` (not copied)."""
         return SlpParams.from_flat(flat, self.dims)
 
-    def copy(self) -> "SlpParams":
-        return self.like(self.flat.copy())
-
 
 @dataclass
 class AdamState:

@@ -142,8 +142,8 @@ def _reference_row_soft_threshold(rows, tau):
     return _reference_shrink(rows, tau)[0]
 
 
-def _reference_objective(problem, x, lam):
-    residual = problem.observations - problem.dictionary @ x
+def _reference_objective(problem, y, x, lam):
+    residual = y - problem.dictionary @ x
     data_term = 0.5 * float(np.linalg.norm(residual) ** 2)
     return data_term + lam * float(np.sum(np.linalg.norm(x, axis=1)))
 
@@ -169,21 +169,21 @@ def _reference_estimate(x, iterations, trace):
     )
 
 
-def ista_reference(problem, solver):
+def ista_reference(problem, y, solver):
     """ISTA written out on its own: the objective recomputes its residual.
-    Like the solver, it takes lam and the step size from `solver`."""
+    Like the solver, it takes lam from `solver` and the step size from
+    `problem`."""
     s = problem.dictionary
-    y = problem.observations
     lam = solver.lam
-    mu = solver.step_size
+    mu = problem.step_size
     x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
-    trace = [_reference_objective(problem, x, lam)]
+    trace = [_reference_objective(problem, y, x, lam)]
     increases = 0
     iterations = 0
     for _ in range(solver.max_iters):
         grad_step = x + mu * (s.conj().T @ (y - s @ x))
         x = _reference_row_soft_threshold(grad_step, mu * lam)
-        trace.append(_reference_objective(problem, x, lam))
+        trace.append(_reference_objective(problem, y, x, lam))
         iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
@@ -192,19 +192,18 @@ def ista_reference(problem, solver):
     return _reference_estimate(x, iterations, trace)
 
 
-def fista_reference(problem, solver):
+def fista_reference(problem, y, solver):
     """FISTA written out on its own, with the Nesterov t-sequence inline
     and the residual at the momentum point recomputed as Y - S Z, a third
     dictionary product per iteration. The solver forms that residual
     from two it already holds, so the two agree up to rounding only."""
     s = problem.dictionary
-    y = problem.observations
     lam = solver.lam
-    mu = solver.step_size
+    mu = problem.step_size
     x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     z = x.copy()
     t = 1.0
-    trace = [_reference_objective(problem, x, lam)]
+    trace = [_reference_objective(problem, y, x, lam)]
     increases = 0
     iterations = 0
     for _ in range(solver.max_iters):
@@ -213,7 +212,7 @@ def fista_reference(problem, solver):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-        trace.append(_reference_objective(problem, x, lam))
+        trace.append(_reference_objective(problem, y, x, lam))
         iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
@@ -222,7 +221,7 @@ def fista_reference(problem, solver):
     return _reference_estimate(x, iterations, trace)
 
 
-def shrink_form_reference(problem, solver, accelerate):
+def shrink_form_reference(problem, y, solver, accelerate):
     """ISTA (accelerate=False) or FISTA written out with every quantity
     taken from what the iteration already holds.
 
@@ -236,9 +235,8 @@ def shrink_form_reference(problem, solver, accelerate):
     Y - S Z as R_new + c (R_new - R), from the residuals of X_new and X,
     which equals it up to rounding."""
     s = problem.dictionary
-    y = problem.observations
     lam = solver.lam
-    mu = solver.step_size
+    mu = problem.step_size
     x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     z = x.copy()
     t = 1.0
@@ -272,11 +270,10 @@ def shrink_form_reference(problem, solver, accelerate):
     return _reference_estimate(x, iterations, trace)
 
 
-def amp_reference(problem, solver):
+def amp_reference(problem, y, solver):
     """AMP written out on its own, with norms from np.linalg.norm, the
     adjoint formed every iteration and the residual norm taken twice."""
     a = problem.dictionary / np.sqrt(problem.rho)
-    y = problem.observations
     ell = a.shape[0]
     alpha = solver.amp_alpha
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)

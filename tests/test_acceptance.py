@@ -25,7 +25,6 @@ from fedad.baselines import (
     MmvProblem,
     SolverConfig,
     amp,
-    default_step_size,
     fista,
     ista,
 )
@@ -103,13 +102,11 @@ def test_criterion_2_solver_oracle_equivalence():
     # Orthonormal dictionary: both solvers land on the analytic prox.
     q = orthonormal_dictionary(rng, 8)
     y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    prob = MmvProblem(dictionary=q, observations=y, rho=1.0)
+    prob = MmvProblem(dictionary=q, rho=1.0)
     closed = _reference_row_soft_threshold(q.conj().T @ y, 0.2)
-    solver = SolverConfig(
-        lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
-    )
+    solver = SolverConfig(lam=0.2, max_iters=500, tol=1e-15)
     for solve in (ista, fista):
-        est = solve(prob, solver)
+        est = solve(prob, y, solver)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
     # Seeded 40x100 instance: FISTA hits gap 1e-6 no later than ISTA.
@@ -119,13 +116,11 @@ def test_criterion_2_solver_oracle_equivalence():
     active = rng.choice(k, 10, replace=False)
     x[active] = (rng.standard_normal((10, c)) + 1j * rng.standard_normal((10, c))) / np.sqrt(2)
     noise = 0.05 * (rng.standard_normal((ell, c)) + 1j * rng.standard_normal((ell, c)))
-    prob = MmvProblem(dictionary=a, observations=a @ x + noise, rho=1.0)
+    prob, y = MmvProblem(dictionary=a, rho=1.0), a @ x + noise
     lam = 0.05 * np.sqrt(2 * np.log(k)) * np.sqrt(c)
-    cfg = SolverConfig(
-        lam=lam, max_iters=4000, tol=0.0, step_size=default_step_size(prob.dictionary)
-    )
-    est_i = ista(prob, cfg)
-    est_f = fista(prob, cfg)
+    cfg = SolverConfig(lam=lam, max_iters=4000, tol=0.0)
+    est_i = ista(prob, y, cfg)
+    est_f = fista(prob, y, cfg)
     f_star = min(est_i.objective_trace.min(), est_f.objective_trace.min())
     first_i = int(np.argmax(est_i.objective_trace <= f_star + 1e-6))
     first_f = int(np.argmax(est_f.objective_trace <= f_star + 1e-6))
@@ -150,10 +145,10 @@ def test_criterion_3_amp_small_instance_oracle():
         x[active] = (
             rng.standard_normal((n_active, 4)) + 1j * rng.standard_normal((n_active, 4))
         ) / np.sqrt(2)
-        prob = MmvProblem(dictionary=a, observations=a @ x, rho=1.0)
-        est = amp(prob, SolverConfig(lam=0.0, amp_iters=25, amp_alpha=1.5))
+        prob, y = MmvProblem(dictionary=a, rho=1.0), a @ x
+        est = amp(prob, y, SolverConfig(lam=0.0, amp_iters=25, amp_alpha=1.5))
         top = set(np.argsort(-est.activity_stat)[:n_active].tolist())
-        if top == exhaustive_ls_support(a, prob.observations, n_active):
+        if top == exhaustive_ls_support(a, y, n_active):
             hits += 1
     elapsed = time.perf_counter() - started
     rate = hits / trials

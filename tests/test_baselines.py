@@ -42,16 +42,14 @@ from fedad.scenario import ScenarioConfig, build_scenario
 
 
 def make_problem(dictionary, observations, rho=1.0):
-    return MmvProblem(
-        dictionary=dictionary,
-        observations=observations,
-        rho=rho,
-    )
+    """The problem over `dictionary`, and the observations to solve it on."""
+    return MmvProblem(dictionary=dictionary, rho=rho), observations
 
 
 def sparse_instance():
-    """Seeded 40x100 row-sparse instance with 8 columns: unit-column
-    dictionary, 10 active rows, noise at 0.05, and the lam to solve it at."""
+    """Seeded 40x100 row-sparse instance with 8 columns: (problem,
+    observations) over a unit-column dictionary with 10 active rows and
+    noise at 0.05, and the lam to solve it at."""
     rng = np.random.default_rng(20240808)
     ell, k, c = 40, 100, 8
     a = unit_column_dictionary(rng, ell, k)
@@ -80,6 +78,13 @@ def assert_fista_matches_stand_alone(est, ref):
     so a zero statistic must meet a zero: the zero patterns are equal."""
     assert est.iterations_used == ref.iterations_used
     np.testing.assert_allclose(est.activity_stat, ref.activity_stat, rtol=FISTA_RTOL, atol=0)
+
+
+def use_step(monkeypatch, step):
+    """Give every problem whose step is first read after this call the
+    step `step`. The step is the problem's, not a setting, so a test picks
+    its own by standing in for default_step_size."""
+    monkeypatch.setattr(baselines, "default_step_size", lambda dictionary: step)
 
 
 def shrunk(rows, tau):
@@ -220,10 +225,8 @@ class TestLassoObjective:
 
 class TestIsta:
     def test_scalar_closed_form(self):
-        prob = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
-        est = ista(prob, SolverConfig(
-            lam=0.3, max_iters=100, tol=1e-14, step_size=default_step_size(prob.dictionary)
-        ))
+        prob, y = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
+        est = ista(prob, y, SolverConfig(lam=0.3, max_iters=100, tol=1e-14))
         # Orthonormal scalar LASSO solves to soft(0.8, 0.3) = 0.5.
         assert abs(est.x_hat[0, 0] - 0.5) < 1e-6
 
@@ -231,11 +234,9 @@ class TestIsta:
         rng = np.random.default_rng(2)
         a = unit_column_dictionary(rng, 4, 8)
         y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        prob = make_problem(a, y)
+        prob, y = make_problem(a, y)
         lam = 10.0 * np.max(np.linalg.norm(a.conj().T @ y, axis=1))
-        est = ista(prob, SolverConfig(
-            lam=lam, max_iters=50, tol=0.0, step_size=default_step_size(prob.dictionary)
-        ))
+        est = ista(prob, y, SolverConfig(lam=lam, max_iters=50, tol=0.0))
         assert not est.x_hat.any()
         assert not est.activity_stat.any()
 
@@ -243,10 +244,8 @@ class TestIsta:
         rng = np.random.default_rng(3)
         q = orthonormal_dictionary(rng, 6)
         y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        prob = make_problem(q, y)
-        est = ista(prob, SolverConfig(
-            lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
-        ))
+        prob, y = make_problem(q, y)
+        est = ista(prob, y, SolverConfig(lam=0.2, max_iters=500, tol=1e-15))
         closed = _reference_row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
@@ -254,51 +253,43 @@ class TestIsta:
         rng = np.random.default_rng(4)
         a = unit_column_dictionary(rng, 10, 25)
         y = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-        prob = make_problem(a, y)
-        est = ista(prob, SolverConfig(
-            lam=0.3, max_iters=300, tol=0.0, step_size=default_step_size(prob.dictionary)
-        ))
+        prob, y = make_problem(a, y)
+        est = ista(prob, y, SolverConfig(lam=0.3, max_iters=300, tol=0.0))
         trace = est.objective_trace
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(np.abs(trace[:-1]), 1.0))
 
-    def test_bad_step_size_raises(self):
+    def test_bad_step_size_raises(self, monkeypatch):
         rng = np.random.default_rng(5)
         a = unit_column_dictionary(rng, 8, 12)
         y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        prob = make_problem(a, y)
-        bad = 10.0 / np.linalg.norm(a, 2) ** 2
+        prob, y = make_problem(a, y)
+        use_step(monkeypatch, 10.0 / np.linalg.norm(a, 2) ** 2)
         with pytest.raises(SolverDivergenceError):
-            ista(prob, SolverConfig(lam=0.1, max_iters=200, tol=0.0, step_size=bad))
+            ista(prob, y, SolverConfig(lam=0.1, max_iters=200, tol=0.0))
 
 
 class TestFista:
     def test_same_fixed_point_scalar(self):
-        prob = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
-        est = fista(prob, SolverConfig(
-            lam=0.3, max_iters=100, tol=1e-14, step_size=default_step_size(prob.dictionary)
-        ))
+        prob, y = make_problem(np.array([[1.0 + 0j]]), np.array([[0.8 + 0j]]))
+        est = fista(prob, y, SolverConfig(lam=0.3, max_iters=100, tol=1e-14))
         assert abs(est.x_hat[0, 0] - 0.5) < 1e-6
 
     def test_orthonormal_closed_form(self):
         rng = np.random.default_rng(6)
         q = orthonormal_dictionary(rng, 5)
         y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        prob = make_problem(q, y)
-        est = fista(prob, SolverConfig(
-            lam=0.2, max_iters=500, tol=1e-15, step_size=default_step_size(prob.dictionary)
-        ))
+        prob, y = make_problem(q, y)
+        est = fista(prob, y, SolverConfig(lam=0.2, max_iters=500, tol=1e-15))
         closed = _reference_row_soft_threshold(q.conj().T @ y, 0.2)
         assert np.max(np.abs(est.x_hat - closed)) < 1e-6
 
     def test_head_to_head_iterations(self):
         # On a seeded 40x100 instance FISTA reaches objective gap 1e-6 in
         # no more iterations than ISTA, and their finals agree.
-        prob, lam = sparse_instance()
-        solver = SolverConfig(
-            lam=lam, max_iters=3000, tol=0.0, step_size=default_step_size(prob.dictionary)
-        )
-        est_i = ista(prob, solver)
-        est_f = fista(prob, solver)
+        (prob, y), lam = sparse_instance()
+        solver = SolverConfig(lam=lam, max_iters=3000, tol=0.0)
+        est_i = ista(prob, y, solver)
+        est_f = fista(prob, y, solver)
         f_star = min(est_i.objective_trace.min(), est_f.objective_trace.min())
         first_i = int(np.argmax(est_i.objective_trace <= f_star + 1e-6))
         first_f = int(np.argmax(est_f.objective_trace <= f_star + 1e-6))
@@ -328,24 +319,17 @@ class TestProximalGradientOracle:
 
     @pytest.mark.parametrize("solver_fn, reference", PAIRS, ids=["ista", "fista"])
     @pytest.mark.parametrize("case", ["early_stop", "full_budget", "explicit_step"])
-    def test_bit_identical_to_reference(self, solver_fn, reference, case):
-        prob, lam = sparse_instance()
+    def test_bit_identical_to_reference(self, monkeypatch, solver_fn, reference, case):
+        (prob, y), lam = sparse_instance()
+        if case == "explicit_step":
+            use_step(monkeypatch, 0.7 / np.linalg.norm(prob.dictionary, 2) ** 2)
         solver = {
-            "early_stop": SolverConfig(
-                lam=lam, max_iters=3000, tol=1e-8,
-                step_size=default_step_size(prob.dictionary),
-            ),
-            "full_budget": SolverConfig(
-                lam=lam, max_iters=150, tol=0.0,
-                step_size=default_step_size(prob.dictionary),
-            ),
-            "explicit_step": SolverConfig(
-                lam=lam, max_iters=3000, tol=1e-8,
-                step_size=0.7 / np.linalg.norm(prob.dictionary, 2) ** 2,
-            ),
+            "early_stop": SolverConfig(lam=lam, max_iters=3000, tol=1e-8),
+            "full_budget": SolverConfig(lam=lam, max_iters=150, tol=0.0),
+            "explicit_step": SolverConfig(lam=lam, max_iters=3000, tol=1e-8),
         }[case]
-        est, ref = solver_fn(prob, solver), reference(prob, solver)
-        same_form = shrink_form_reference(prob, solver, accelerate=solver_fn is fista)
+        est, ref = solver_fn(prob, y, solver), reference(prob, y, solver)
+        same_form = shrink_form_reference(prob, y, solver, accelerate=solver_fn is fista)
         if case == "full_budget":
             assert est.iterations_used == solver.max_iters
         else:
@@ -365,14 +349,14 @@ class TestProximalGradientOracle:
         assert np.all(gap <= self.TRACE_RTOL * np.maximum(np.abs(ref.objective_trace), 1.0))
 
     @pytest.mark.parametrize("solver_fn, reference", PAIRS, ids=["ista", "fista"])
-    def test_bad_step_size_raises(self, solver_fn, reference):
-        prob, lam = sparse_instance()
-        bad = 10.0 / np.linalg.norm(prob.dictionary, 2) ** 2
-        solver = SolverConfig(lam=lam, max_iters=200, tol=0.0, step_size=bad)
+    def test_bad_step_size_raises(self, monkeypatch, solver_fn, reference):
+        (prob, y), lam = sparse_instance()
+        use_step(monkeypatch, 10.0 / np.linalg.norm(prob.dictionary, 2) ** 2)
+        solver = SolverConfig(lam=lam, max_iters=200, tol=0.0)
         same_form = functools.partial(shrink_form_reference, accelerate=solver_fn is fista)
         for fn in (solver_fn, reference, same_form):
             with pytest.raises(SolverDivergenceError):
-                fn(prob, solver)
+                fn(prob, y, solver)
 
     @pytest.mark.parametrize("solver_fn", [ista, fista], ids=["ista", "fista"])
     @pytest.mark.parametrize("tol", [0.0, 1e-8], ids=["full_budget", "early_stop"])
@@ -380,9 +364,10 @@ class TestProximalGradientOracle:
         self, monkeypatch, solver_fn, tol
     ):
         # The objective reads x's row norms off the shrink, so a solve of n
-        # iterations takes row norms n times, plus once for the problem's
-        # dictionary check, and evaluates the objective n + 1 times.
-        instance, lam = sparse_instance()
+        # iterations takes row norms n times and evaluates the objective
+        # n + 1 times. The dictionary's columns were checked when the
+        # problem was built, before the count starts.
+        (prob, y), lam = sparse_instance()
         calls = dict.fromkeys(["_row_norms", "lasso_objective"], 0)
         for name in calls:
             original = getattr(baselines, name)
@@ -392,13 +377,10 @@ class TestProximalGradientOracle:
                 return original(*args)
 
             monkeypatch.setattr(baselines, name, counted)
-        prob = make_problem(instance.dictionary, instance.observations)
-        solver = SolverConfig(
-            lam=lam, max_iters=150, tol=tol, step_size=default_step_size(prob.dictionary)
-        )
-        n = solver_fn(prob, solver).iterations_used
+        solver = SolverConfig(lam=lam, max_iters=150, tol=tol)
+        n = solver_fn(prob, y, solver).iterations_used
         assert (n < solver.max_iters) == (tol > 0)
-        assert calls == {"_row_norms": n + 1, "lasso_objective": n + 1}
+        assert calls == {"_row_norms": n, "lasso_objective": n + 1}
 
 
 class TestAmpOracle:
@@ -408,11 +390,11 @@ class TestAmpOracle:
         "alpha, iters, rho", [(1.5, 25, 1.0), (1.0, 60, 1.0), (1.5, 25, 4.0), (2.0, 5, 1e12)]
     )
     def test_bit_identical_to_reference(self, alpha, iters, rho):
-        unit, _ = sparse_instance()
+        (unit, y), _ = sparse_instance()
         scale = np.sqrt(rho)
-        prob = make_problem(scale * unit.dictionary, scale * unit.observations, rho)
+        prob, y = make_problem(scale * unit.dictionary, scale * y, rho)
         solver = SolverConfig(amp_alpha=alpha, amp_iters=iters)
-        est, ref = amp(prob, solver), amp_reference(prob, solver)
+        est, ref = amp(prob, y, solver), amp_reference(prob, y, solver)
         assert np.any(est.activity_stat > 0)
         assert est.iterations_used == ref.iterations_used == iters
         assert np.array_equal(est.x_hat, ref.x_hat)
@@ -426,8 +408,7 @@ class TestAmp:
         q = orthonormal_dictionary(rng, 6)
         x = np.zeros((6, 3), complex)
         x[4] = np.array([1 + 1j, 0.5, -1j])
-        prob = make_problem(q, q @ x)
-        est = amp(prob, SolverConfig(lam=0.0, amp_iters=1, amp_alpha=1.5))
+        est = amp(*make_problem(q, q @ x), SolverConfig(lam=0.0, amp_iters=1, amp_alpha=1.5))
         assert np.array_equal(np.nonzero(est.activity_stat)[0], [4])
 
     def test_square_instance_matches_brute_force(self):
@@ -436,16 +417,15 @@ class TestAmp:
         a = unit_column_dictionary(rng, k, k)
         x = np.zeros((k, 2), complex)
         x[3] = np.array([1.0 + 0.5j, -0.7j])
-        prob = make_problem(a, a @ x)
-        est = amp(prob, SolverConfig(lam=0.0))
+        prob, y = make_problem(a, a @ x)
+        est = amp(prob, y, SolverConfig(lam=0.0))
         assert int(np.argmax(est.activity_stat)) == 3
-        assert exhaustive_ls_support(a, prob.observations, 1) == {3}
+        assert exhaustive_ls_support(a, y, 1) == {3}
 
     def test_zero_observations(self):
         rng = np.random.default_rng(9)
         a = unit_column_dictionary(rng, 4, 7)
-        prob = make_problem(a, np.zeros((4, 2), complex))
-        est = amp(prob, SolverConfig(lam=0.0))
+        est = amp(*make_problem(a, np.zeros((4, 2), complex)), SolverConfig(lam=0.0))
         assert not est.x_hat.any()
         assert not est.activity_stat.any()
 
@@ -453,9 +433,8 @@ class TestAmp:
         rng = np.random.default_rng(10)
         a = unit_column_dictionary(rng, 4, 7)
         y = np.full((4, 2), np.nan, dtype=complex)
-        prob = make_problem(a, y)
         with pytest.raises(SolverDivergenceError):
-            amp(prob, SolverConfig(lam=0.0))
+            amp(*make_problem(a, y), SolverConfig(lam=0.0))
 
     @pytest.mark.parametrize("solve", [amp, amp_reference], ids=["amp", "reference"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -468,7 +447,7 @@ class TestAmp:
         y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         y[2, 1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(SolverDivergenceError):
-            solve(make_problem(a, y), SolverConfig())
+            solve(*make_problem(a, y), SolverConfig())
 
 
 class TestStatisticSeparation:
@@ -484,30 +463,27 @@ class TestStatisticSeparation:
         x[active] = (
             rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         ) / np.sqrt(2)
-        prob = make_problem(q, q @ x)
-        solver = SolverConfig(
-            lam=0.05, max_iters=300, tol=1e-14, step_size=default_step_size(prob.dictionary)
-        )
-        est = {"ista": ista, "fista": fista}.get(solver_name, amp)(prob, solver)
+        solver = SolverConfig(lam=0.05, max_iters=300, tol=1e-14)
+        est = {"ista": ista, "fista": fista}.get(solver_name, amp)(*make_problem(q, q @ x), solver)
         active_stats = est.activity_stat[active]
         inactive_stats = np.delete(est.activity_stat, active)
         assert active_stats.min() > inactive_stats.max()
 
 
 class _RecordingSolver:
-    """Stand-in for a baseline solver: records each (problem, solver) call
-    and answers call i with statistic i + 0.5 on every device and i + 1
-    iterations, except that the first call reports the most."""
+    """Stand-in for a baseline solver: records each (problem, observations,
+    solver) call and answers call i with statistic i + 0.5 on every device
+    and i + 1 iterations, except that the first call reports the most."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, problem, solver):
+    def __call__(self, problem, observations, solver):
         i = len(self.calls)
-        self.calls.append((problem, solver))
+        self.calls.append((problem, observations, solver))
         k = problem.dictionary.shape[1]
         return SparseEstimate(
-            x_hat=np.zeros((k, problem.observations.shape[1]), dtype=complex),
+            x_hat=np.zeros((k, observations.shape[1]), dtype=complex),
             activity_stat=np.full(k, i + 0.5),
             iterations_used=50 if i == 0 else i + 1,
             objective_trace=np.zeros(1),
@@ -536,14 +512,14 @@ class TestBuildMmvProblem:
             [received_from_features(ds.features[0, ap], 5, 2) for ap in range(3)]
         )
         assert len(calls) == 1
-        prob, solver = calls[0]
-        assert prob.observations.shape == (5, 6)
-        assert np.array_equal(prob.observations, np.concatenate(list(received), axis=1))
+        prob, observations, solver = calls[0]
+        assert observations.shape == (5, 6)
+        assert np.array_equal(observations, np.concatenate(list(received), axis=1))
         assert np.allclose(np.linalg.norm(prob.dictionary, axis=0), 2.0, atol=1e-9)
         assert prob.rho == 4.0
-        # The solver arrives resolved: lam and the step size are set.
+        # The solver arrives resolved, and the step is the dictionary's.
         assert solver.lam == default_lambda(self.CONFIG)
-        assert solver.step_size == default_step_size(2.0 * art.pilots)
+        assert prob.step_size == default_step_size(2.0 * art.pilots)
         assert np.array_equal(stats, np.full((1, 6), 0.5))
         assert iters == 50
 
@@ -551,17 +527,46 @@ class TestBuildMmvProblem:
         art, ds, calls, stats, iters = self._detect_recorded(monkeypatch, 4)
         received = received_from_features(ds.features, 5, 2)
         # One call per event, in event order, all with one resolved solver
-        # and one dictionary object, sqrt(P) * pilots.
+        # and one problem object over sqrt(P) * pilots.
         assert len(calls) == 4
-        dictionary = calls[0][0].dictionary
-        assert np.array_equal(dictionary, np.sqrt(4.0) * art.pilots)
-        for i, (prob, solver) in enumerate(calls):
-            assert np.array_equal(prob.observations, np.concatenate(list(received[i]), axis=1))
-            assert prob.dictionary is dictionary
-            assert solver == resolve_solver(SolverConfig(), art)
-            assert solver.lam is not None and solver.step_size is not None
+        problem = calls[0][0]
+        assert np.array_equal(problem.dictionary, np.sqrt(4.0) * art.pilots)
+        for i, (prob, observations, solver) in enumerate(calls):
+            assert np.array_equal(observations, np.concatenate(list(received[i]), axis=1))
+            assert prob is problem
+            assert solver == resolve_solver(SolverConfig(), art.config)
+            assert solver.lam is not None
         assert np.array_equal(stats, np.repeat(np.arange(4)[:, None] + 0.5, 6, axis=1))
         assert iters == 50
+
+    @pytest.mark.parametrize("detector", list(baselines.BASELINES))
+    def test_detect_builds_and_checks_one_problem(self, monkeypatch, detector):
+        # Every event is solved against one problem, built when detect
+        # starts; its columns are checked then, once, not once per event.
+        art = build_scenario(self.CONFIG)
+        ds = build_dataset(self.CONFIG, art.beta, art.pilots, 5, substream(0, "events"))
+        built = []
+        check = MmvProblem.__post_init__
+
+        def counted(problem):
+            built.append(problem)
+            check(problem)
+
+        monkeypatch.setattr(MmvProblem, "__post_init__", counted)
+        detect(detector, SolverConfig(max_iters=5, amp_iters=5), art, ds)
+        assert len(built) == 1
+        assert np.array_equal(built[0].dictionary, 2.0 * art.pilots)
+
+    @pytest.mark.parametrize("solve", [ista, fista, amp], ids=["ista", "fista", "amp"])
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_observations_must_have_l_rows(self, solve, rows):
+        # The problem no longer holds observations; the solver's first
+        # product with the L x K dictionary refuses any other row count.
+        rng = np.random.default_rng(15)
+        prob = MmvProblem(unit_column_dictionary(rng, 5, 7), 1.0)
+        y = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        with pytest.raises(ValueError):
+            solve(prob, y, SolverConfig(lam=0.1))
 
     @pytest.mark.parametrize("name", ["colocate", "detect", "MmvProblem", "fl"])
     def test_detect_refuses_what_is_no_baseline(self, name):
@@ -579,11 +584,7 @@ class TestBuildMmvProblem:
         tol = 1e-9 * max(1.0, target) + 1e-5 * target
         for sign in (1.0, -1.0):
             for fraction, accepted in ((0.99, True), (1.01, False)):
-                fields = dict(
-                    dictionary=(target + sign * fraction * tol) * a,
-                    observations=np.zeros((4, 2), complex),
-                    rho=rho,
-                )
+                fields = dict(dictionary=(target + sign * fraction * tol) * a, rho=rho)
                 if accepted:
                     MmvProblem(**fields)
                 else:
@@ -594,11 +595,7 @@ class TestBuildMmvProblem:
         rng = np.random.default_rng(13)
         a = unit_column_dictionary(rng, 4, 5)
         with pytest.raises(ValueError, match="norm"):
-            MmvProblem(
-                dictionary=2.0 * a,
-                observations=np.zeros((4, 2), complex),
-                rho=1.0,
-            )
+            MmvProblem(dictionary=2.0 * a, rho=1.0)
 
     def test_default_lambda_formula(self):
         cfg = ScenarioConfig(
@@ -616,28 +613,29 @@ class TestResolveSolver:
 
     def test_nulls_take_their_formulas(self):
         art = build_scenario(self.CONFIG)
-        solver = SolverConfig(lam=None, step_size=None, max_iters=7)
-        got = resolve_solver(solver, art)
+        solver = SolverConfig(lam=None, max_iters=7)
+        got = resolve_solver(solver, art.config)
         # sigma * sqrt(2 ln K) * sqrt(M N) * sqrt(P)
         lam = np.sqrt(0.5) * np.sqrt(2 * np.log(12)) * np.sqrt(3 * 2) * np.sqrt(4.0)
         assert got.lam == pytest.approx(lam, rel=1e-12)
-        # 1 / ||sqrt(P) pilots||_2^2, the largest eigenvalue of S^H S.
+        # The step: 1 / ||sqrt(P) pilots||_2^2, the largest eigenvalue of S^H S.
         s = np.sqrt(4.0) * art.pilots
-        assert got.step_size == pytest.approx(1 / np.linalg.eigvalsh(s.conj().T @ s)[-1], rel=1e-10)
+        step = MmvProblem(s, 4.0).step_size
+        assert step == pytest.approx(1 / np.linalg.eigvalsh(s.conj().T @ s)[-1], rel=1e-10)
         assert (got.max_iters, got.tol, got.amp_iters) == (7, solver.tol, solver.amp_iters)
         # The colocated array keeps all M N antennas, so lam is unchanged.
-        assert resolve_solver(solver, colocate(art)).lam == got.lam
+        assert resolve_solver(solver, colocate(art).config).lam == got.lam
 
     def test_set_values_pass_through(self):
-        solver = SolverConfig(lam=0.3, step_size=0.01, amp_alpha=2.0, max_iters=7)
-        assert resolve_solver(solver, build_scenario(self.CONFIG)) == solver
+        solver = SolverConfig(lam=0.3, amp_alpha=2.0, max_iters=7)
+        assert resolve_solver(solver, self.CONFIG) == solver
         solver = SolverConfig(lam=0.0, amp_alpha=0.0)
-        got = resolve_solver(solver, build_scenario(self.CONFIG))
+        got = resolve_solver(solver, self.CONFIG)
         assert (got.lam, got.amp_alpha) == (0.0, 0.0)
 
     def test_detect_resolves_no_step_size_for_amp(self, monkeypatch):
-        # AMP reads neither lam nor step_size, so detect skips the SVD in
-        # default_step_size for it; ISTA still resolves its step there.
+        # AMP never reads the problem's step, so detect runs no SVD in
+        # default_step_size for it; ISTA still takes its step from there.
         art = build_scenario(self.CONFIG)
         ds = build_dataset(self.CONFIG, art.beta, art.pilots, 3, substream(0, "events"))
         stats, iters = detect("amp", SolverConfig(), art, ds)
@@ -670,16 +668,15 @@ class TestDetectAtDeskShapes:
         events = build_dataset(cfg, art.beta, art.pilots, 20, substream(3, "desk-events"))
         stats, iters = detect(detector, config.solver, art, events)
 
-        solver = resolve_solver(config.solver, art)
-        dictionary = np.sqrt(cfg.tx_power) * art.pilots
+        solver = resolve_solver(config.solver, cfg)
+        problem = MmvProblem(np.sqrt(cfg.tx_power) * art.pilots, cfg.tx_power)
         received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
-        problems = [
-            make_problem(dictionary, np.concatenate(list(event), axis=1), cfg.tx_power)
-            for event in received
-        ]
-        refs = [reference(problem, solver) for problem in problems]
+        observations = [np.concatenate(list(event), axis=1) for event in received]
+        refs = [reference(problem, y, solver) for y in observations]
         if detector == "fista":
-            same_form = [shrink_form_reference(p, solver, accelerate=True) for p in problems]
+            same_form = [
+                shrink_form_reference(problem, y, solver, accelerate=True) for y in observations
+            ]
             for est, ref in zip(same_form, refs):
                 assert_fista_matches_stand_alone(est, ref)
             refs = same_form

@@ -235,10 +235,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
     def test_baseline_scores_equal_per_event_solves(self, tmp_path, arch):
-        # The runner decodes the events one at a time and fills in lam and
-        # the step size from the experiment's scenario; scores must equal
-        # solving each event on its own, with the step size from that
-        # event's problem, stacked here by hand.
+        # The runner decodes the events one at a time and fills in lam from
+        # the experiment's scenario; scores must equal solving each event
+        # on its own, against a problem built for that event, stacked here
+        # by hand.
         import dataclasses
 
         from fedad.baselines import (
@@ -246,7 +246,6 @@ class TestRunExperiment:
             amp,
             colocate,
             default_lambda,
-            default_step_size,
             fista,
             ista,
         )
@@ -270,7 +269,6 @@ class TestRunExperiment:
             sc, artifacts.beta, artifacts.pilots, cfg.eval_trials, substream(5, "eval-events")
         )
         solver = dataclasses.replace(cfg.solver, lam=default_lambda(sc))
-        assert solver.step_size is None
         for name, solve in {"ista": ista, "fista": fista, "amp": amp}.items():
             expected = []
             for i in range(cfg.eval_trials):
@@ -278,15 +276,9 @@ class TestRunExperiment:
                     received_from_features(events.features[i, ap], sc.pilot_len, sc.antennas_per_ap)
                     for ap in range(sc.num_aps)
                 ])
-                problem = MmvProblem(
-                    np.sqrt(sc.tx_power) * artifacts.pilots,
-                    np.concatenate(list(received), axis=1),
-                    sc.tx_power,
-                )
-                resolved = dataclasses.replace(
-                    solver, step_size=default_step_size(problem.dictionary)
-                )
-                expected.append(solve(problem, resolved).activity_stat)
+                problem = MmvProblem(np.sqrt(sc.tx_power) * artifacts.pilots, sc.tx_power)
+                observations = np.concatenate(list(received), axis=1)
+                expected.append(solve(problem, observations, solver).activity_stat)
             assert np.any(results[name].trials.scores > 0)
             assert np.array_equal(results[name].trials.scores, np.concatenate(expected))
 
@@ -340,7 +332,7 @@ class TestMainEntry:
             ({"solver": {"lambda": -1}}, "solver: lambda: must be >= 0, got -1"),
             ({"solver": {"max_iters": 0}}, "solver: max_iters: must be >= 1, got 0"),
             ({"solver": {"tol": -1e-3}}, "solver: tol: must be >= 0, got -0.001"),
-            ({"solver": {"step_size": 0.0}}, "solver: step_size: must be > 0, got 0.0"),
+            ({"solver": {"step_size": 0.01}}, "solver: unknown key 'step_size'"),
             ({"solver": {"amp_iters": -1}}, "solver: amp_iters: must be >= 0, got -1"),
             ({"solver": {"amp_alpha": -0.5}}, "solver: amp_alpha: must be >= 0, got -0.5"),
             ({"solver": {"amp_alpha": None}}, "solver: amp_alpha: must be a number, got null"),

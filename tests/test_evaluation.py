@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedad import baselines
-from fedad.baselines import MmvProblem, SolverConfig, default_lambda, default_step_size
+from fedad.baselines import MmvProblem, SolverConfig, default_lambda
 from fedad.evaluation import (
     ROC_MAX_POINTS,
     ScoredTrials,
@@ -185,17 +185,16 @@ class TestMacOracle:
             rng.standard_normal((cfg.pilot_len, n_total))
             + 1j * rng.standard_normal((cfg.pilot_len, n_total))
         )
-        problem = MmvProblem(plain.view(_CountingDictionary), observations, cfg.tx_power)
+        problem = MmvProblem(plain.view(_CountingDictionary), cfg.tx_power)
         solve = getattr(baselines, detector)
 
         def tally(iters):
             # tol = 0 runs every iteration of the budget.
             solver = SolverConfig(
-                lam=default_lambda(cfg), max_iters=iters, tol=0.0,
-                step_size=default_step_size(plain), amp_iters=iters,
+                lam=default_lambda(cfg), max_iters=iters, tol=0.0, amp_iters=iters
             )
             _CountingDictionary.products = _CountingDictionary.macs = 0
-            assert solve(problem, solver).iterations_used == iters
+            assert solve(problem, observations, solver).iterations_used == iters
             return _CountingDictionary.products, _CountingDictionary.macs
 
         # Each solve starts from R = Y, so it runs no set-up product: one

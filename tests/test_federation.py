@@ -234,7 +234,7 @@ class TestServerStep:
         state = init_adam(current, lr=1e-3)
         # An aggregate equal to the global, in its own buffer: the step
         # consumes both, so the result is checked against a fresh 0.5.
-        out, state2 = server_step(current, current.copy(), state)
+        out, state2 = server_step(current, current.like(current.flat.copy()), state)
         assert params_equal(out, scalar_params(0.5))
         assert state2.step_count == 1
 
@@ -684,7 +684,9 @@ class TestInputsUntouched:
             pseudo_grad = untouched.flat - np.frombuffer(before[1])
             assert agg.flat.tobytes() == pseudo_grad.tobytes()
             expected, _ = adam_step(
-                untouched.copy(), untouched.like(pseudo_grad), init_adam(untouched, lr=1e-2)
+                untouched.like(untouched.flat.copy()),
+                untouched.like(pseudo_grad),
+                init_adam(untouched, lr=1e-2),
             )
             assert out.flat.tobytes() == expected.flat.tobytes()
             assert out.flat is current.flat

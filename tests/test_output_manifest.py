@@ -32,9 +32,16 @@ def test_manifest_schema_and_compare(tmp_path, capsys):
         "roc_fl_cellfree.csv", "summary.json", "history_fl_cellfree.csv", "model_fl_cellfree.bin",
     }
     assert all(len(digest) == 64 for digest in run["files"].values())
+    assert len(run["config_echo"]) == 64
     assert run["peak_rss_mb"] > 0
     fl = run["detectors"]["fl"]
     summary = json.loads((tmp_path / "runs" / "smoke_seed0_cellfree" / "summary.json").read_text())
+    # The config echo is hashed apart: an echo that gains a key moves the
+    # echo's digest and not the summary's.
+    echoed = {**summary, "config_echo": {**summary["config_echo"], "extra": 1}}
+    digests, echoed_digests = script.summary_digests(summary), script.summary_digests(echoed)
+    assert digests == (run["files"]["summary.json"], run["config_echo"])
+    assert echoed_digests[0] == digests[0] and echoed_digests[1] != digests[1]
     assert fl["auc"] == repr(summary["fl"]["auc"])
     assert (fl["iters"], fl["macs_complex1"], fl["macs_real4"]) == (
         summary["fl"]["iters"], summary["fl"]["macs_complex1"], summary["fl"]["macs_real4"],
@@ -74,3 +81,9 @@ def test_manifest_schema_and_compare(tmp_path, capsys):
     (tmp_path / "repriced.json").write_text(json.dumps(repriced))
     assert script.main(["--compare", str(out), str(tmp_path / "repriced.json")]) == 1
     assert capsys.readouterr().out.strip() == "smoke_cellfree: fedad macs table moved"
+
+    reconfigured = json.loads(out.read_text())
+    reconfigured["runs"]["smoke_seed0_cellfree"]["config_echo"] = "0" * 64
+    (tmp_path / "reconfigured.json").write_text(json.dumps(reconfigured))
+    assert script.main(["--compare", str(out), str(tmp_path / "reconfigured.json")]) == 1
+    assert capsys.readouterr().out.strip() == "smoke_seed0_cellfree: config_echo moved"
