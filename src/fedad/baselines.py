@@ -206,8 +206,21 @@ def _proximal_gradient(
     is then R_new + c (R_new - R), formed from the residuals of X_new and
     X, so an iteration runs two dictionary products either way. Both
     residuals are computed afresh from their iterates, so no rounding
-    accumulates across iterations. Stops at max_iters or when the
-    relative objective change drops below tol.
+    accumulates across iterations.
+
+    FISTA restarts its momentum when its objective rises: if X_new's
+    objective is above X's, t_j is reset to 1, so c = 0 and Z = X_new.
+    That is the function scheme of O'Donoghue & Candes, "Adaptive restart
+    for accelerated gradient schemes" (FoCM 2015). Their gradient scheme
+    stops a few iterations sooner, but it costs a K x C subtraction and a
+    complex dot every iteration, which slows solves that run a fixed
+    budget; the function scheme reads the objective the loop computes
+    anyway, so it adds no arithmetic. The step after a restart is a
+    plain proximal-gradient step, which does not raise the objective, so
+    FISTA's trace never rises twice in a row.
+
+    Stops at max_iters or when the relative objective change drops below
+    tol.
     """
     s = problem.dictionary
     s_h = s.conj().T
@@ -227,17 +240,23 @@ def _proximal_gradient(
         x_new += z
         norms, scale = _shrink_rows(x_new, mu * lam)
         residual_new = y - s @ x_new
+        # The penalty reads x_new's row norms off the shrink: norms * scale.
+        trace.append(lasso_objective(residual_new, norms @ scale, lam))
         if accelerate:
+            if trace[-1] > trace[-2]:
+                t = 1.0
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             c = (t - 1.0) / t_new
+            t = t_new
+        else:
+            c = 0.0
+        # c is 0 in ISTA, and in FISTA's first iteration and after a restart.
+        if c:
             z = x_new + c * (x_new - x)
             residual_z = residual_new + c * (residual_new - residual)
-            t = t_new
         else:
             z, residual_z = x_new, residual_new
         x, residual = x_new, residual_new
-        # The penalty reads x's row norms off the shrink: norms * scale.
-        trace.append(lasso_objective(residual, norms @ scale, lam))
         iterations += 1
         increases = _check_divergence(trace, increases)
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
@@ -259,9 +278,12 @@ def ista(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) ->
 
 
 def fista(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> SparseEstimate:
-    """FISTA; its objective trace need not be monotone, but on these convex
-    instances the final objective matches ISTA's at equal iteration
-    budgets to high accuracy."""
+    """FISTA with function-scheme adaptive restart (O'Donoghue & Candes,
+    FoCM 2015): whenever its objective rises, the momentum restarts, so
+    the next step is a plain ISTA step and the objective trace never rises
+    on two consecutive iterations. The restart test reuses the objective
+    the loop already computes, so it adds no arithmetic; on these convex
+    instances the final objective matches ISTA's to high accuracy."""
     return _proximal_gradient(problem, observations, solver, accelerate=True)
 
 

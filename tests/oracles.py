@@ -196,7 +196,11 @@ def fista_reference(problem, y, solver):
     """FISTA written out on its own, with the Nesterov t-sequence inline
     and the residual at the momentum point recomputed as Y - S Z, a third
     dictionary product per iteration. The solver forms that residual
-    from two it already holds, so the two agree up to rounding only."""
+    from two it already holds, so the two agree up to rounding only.
+
+    The momentum restarts (t back to 1) whenever the new iterate's
+    objective, computed directly from Y - S X, is above the last one's:
+    O'Donoghue & Candes's function scheme."""
     s = problem.dictionary
     lam = solver.lam
     mu = problem.step_size
@@ -209,10 +213,12 @@ def fista_reference(problem, y, solver):
     for _ in range(solver.max_iters):
         grad_step = z + mu * (s.conj().T @ (y - s @ z))
         x_new = _reference_row_soft_threshold(grad_step, mu * lam)
+        trace.append(_reference_objective(problem, y, x_new, lam))
+        if trace[-1] > trace[-2]:
+            t = 1.0
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-        trace.append(_reference_objective(problem, y, x, lam))
         iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
@@ -233,7 +239,9 @@ def shrink_form_reference(problem, y, solver, accelerate):
 
     FISTA's momentum point Z = X_new + c (X_new - X) takes its residual
     Y - S Z as R_new + c (R_new - R), from the residuals of X_new and X,
-    which equals it up to rounding."""
+    which equals it up to rounding. FISTA restarts (t back to 1) when
+    X_new's objective is above X's; where c is then 0, as in the first
+    iteration, Z is X_new and its residual R_new, with no update formed."""
     s = problem.dictionary
     lam = solver.lam
     mu = problem.step_size
@@ -249,19 +257,23 @@ def shrink_form_reference(problem, y, solver, accelerate):
         grad_step = z + mu * (s.conj().T @ residual_z)
         x_new, norms, scale = _reference_shrink(grad_step, mu * lam)
         residual_new = y - s @ x_new
+        data_term = 0.5 * float(np.vdot(residual_new, residual_new).real)
+        trace.append(data_term + lam * float(np.dot(norms, scale)))
+        c = 0.0
         if accelerate:
+            if trace[-1] > trace[-2]:
+                t = 1.0
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             c = (t - 1.0) / t_new
-            z = x_new + c * (x_new - x)
-            residual_z = residual_new + c * (residual_new - residual)
             t = t_new
-        else:
+        if c == 0.0:
             z = x_new
             residual_z = residual_new
+        else:
+            z = x_new + c * (x_new - x)
+            residual_z = residual_new + c * (residual_new - residual)
         x = x_new
         residual = residual_new
-        data_term = 0.5 * float(np.vdot(residual, residual).real)
-        trace.append(data_term + lam * float(np.dot(norms, scale)))
         iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)

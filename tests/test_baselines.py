@@ -300,6 +300,18 @@ class TestFista:
         )
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-8], ids=["full_budget", "early_stop"])
+    def test_objective_never_rises_twice_in_a_row(self, tol):
+        # A rise restarts the momentum, and the plain step that follows
+        # does not raise the objective; the slack is ISTA's monotone one.
+        # Without the restart FISTA rises up to 3 times in a row here.
+        (prob, y), lam = sparse_instance()
+        est = fista(prob, y, SolverConfig(lam=lam, max_iters=3000, tol=tol))
+        trace = est.objective_trace
+        rises = np.diff(trace) > 1e-12 * np.maximum(np.abs(trace[:-1]), 1.0)
+        assert (est.iterations_used < 3000) == (tol > 0)
+        assert not np.any(rises[1:] & rises[:-1])
+
 
 class TestProximalGradientOracle:
     """ISTA and FISTA share one loop. Each must reproduce, bit for bit, the
