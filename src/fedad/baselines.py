@@ -1,7 +1,7 @@
 """Sparse-recovery baselines on the stacked multi-antenna observations:
 ISTA, FISTA (row-sparse group LASSO), and AMP with a row soft-threshold
-denoiser; `detect`, which runs one of them on every event of a dataset;
-and the colocated-array scenario transform.
+denoiser, and `detect`, which runs one of them on every event of a
+dataset.
 
 The uplink model is rewritten as Y = S X + W where S is the pilot book
 scaled by sqrt(tx_power), Y stacks every antenna of the participating APs
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import Dataset, received_from_features
-from .scenario import Geometry, ScenarioArtifacts, ScenarioConfig, large_scale_fading
+from .scenario import ScenarioArtifacts, ScenarioConfig
 
 
 class SolverDivergenceError(RuntimeError):
@@ -232,7 +232,6 @@ def _proximal_gradient(
     trace = [lasso_objective(residual, 0.0, lam)]
     t = 1.0
     increases = 0
-    iterations = 0
     for _ in range(solver.max_iters):
         # The gradient step Z + mu * S^H (Y - S Z), formed and shrunk in place.
         x_new = s_h @ residual_z
@@ -257,7 +256,6 @@ def _proximal_gradient(
         else:
             z, residual_z = x_new, residual_new
         x, residual = x_new, residual_new
-        iterations += 1
         increases = _check_divergence(trace, increases)
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
         if rel < solver.tol:
@@ -265,7 +263,7 @@ def _proximal_gradient(
     return SparseEstimate(
         x_hat=x,
         activity_stat=_row_energies(x),
-        iterations_used=iterations,
+        iterations_used=len(trace) - 1,  # the trace opens with X = 0's objective
         objective_trace=np.asarray(trace),
     )
 
@@ -374,26 +372,3 @@ def detect(
         iters = max(iters, est.iterations_used)
     return stats, iters
 
-
-def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
-    """Equivalent colocated (cellular) scenario: one AP at the square
-    center carrying all M*N antennas, large-scale gains recomputed from
-    center distances, pilots and devices unchanged."""
-    cfg = artifacts.config
-    center = 0.5 * cfg.area_side_km
-    colocated_cfg = replace(
-        cfg,
-        num_aps=1,
-        antennas_per_ap=cfg.num_aps * cfg.antennas_per_ap,
-        cluster_size=1,
-    )
-    geometry = Geometry(
-        ap_positions=np.array([[center, center]]),
-        device_positions=artifacts.geometry.device_positions,
-    )
-    return ScenarioArtifacts(
-        config=colocated_cfg,
-        geometry=geometry,
-        beta=large_scale_fading(geometry),
-        pilots=artifacts.pilots,
-    )

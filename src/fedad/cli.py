@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import BASELINES, SolverConfig, colocate, detect
+from .baselines import BASELINES, SolverConfig, detect
 from .channel import build_dataset
 from .evaluation import RocCurve, ScoredTrials, detector_macs, roc_curve, slp_macs_per_ap
 from .federation import (
@@ -40,7 +40,7 @@ from .federation import (
     serialize_update,
 )
 from .rng import substream
-from .scenario import ScenarioConfig, build_scenario
+from .scenario import ScenarioConfig, build_scenario, colocate
 
 ALL_DETECTORS = ("fl", *BASELINES)
 ALL_EMIT = ("roc_csv", "summary_json", "history_csv", "checkpoints")
@@ -96,9 +96,6 @@ class DetectorResult:
 @dataclass
 class ResultBundle:
     results: dict[str, DetectorResult]
-    config_echo: dict
-    seed: int
-    version: str
     checkpoint: bytes | None = None
     history: list[float] | None = None
 
@@ -272,14 +269,7 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
             )
     except (ValueError, FloatingPointError, RuntimeError) as exc:
         raise RuntimeError(f"stage failed: {stage}: {exc}") from exc
-    return ResultBundle(
-        results=results,
-        config_echo=config_to_dict(config),
-        seed=seed,
-        version=_version_string(),
-        checkpoint=checkpoint,
-        history=history,
-    )
+    return ResultBundle(results=results, checkpoint=checkpoint, history=history)
 
 
 def _format_sig(x: float) -> str:
@@ -321,9 +311,9 @@ def emit_results(bundle: ResultBundle, config: ExperimentConfig) -> list[Path]:
             }
             doc = {
                 **payload,
-                "config_echo": bundle.config_echo,
-                "seed": bundle.seed,
-                "version": bundle.version,
+                "config_echo": config_to_dict(config),
+                "seed": config.scenario.master_seed,
+                "version": _version_string(),
             }
             path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
             written.append(path)
@@ -355,10 +345,12 @@ def _mac_table(config: ExperimentConfig) -> str:
         ("fl_network", str(fl_network), str(fl_network), "-"),
     ]
     solver = config.solver
+    macs = {}
     for detector in BASELINES:
         iters = solver.amp_iters if detector == "amp" else solver.max_iters
-        rows.append((detector, *map(str, detector_macs(detector, cfg, iters)), str(iters)))
-    amp_c1, amp_c4 = detector_macs("amp", cfg, solver.amp_iters)
+        macs[detector] = detector_macs(detector, cfg, iters)
+        rows.append((detector, *map(str, macs[detector]), str(iters)))
+    amp_c1, amp_c4 = macs["amp"]
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
     lines.append(

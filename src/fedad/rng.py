@@ -7,10 +7,12 @@ exercised in isolation and results never depend on call order or thread
 schedule.
 
 `spawned_pcg64_states` derives the PCG64 states that ``Generator.spawn``
-would give a range of children without building any child: numpy's
-SeedSequence hash (O'Neill's ``seed_seq``, from the PCG paper, 2014)
-mixes a child's spawn index in last, so the pool is hashed once up to
-that word and the rest runs as a few uint32 array passes over all
+would give a range of children without building any child. A child's
+entropy words are its parent's words followed by its spawn index, and
+numpy's SeedSequence hash (O'Neill's ``seed_seq``, from the PCG paper,
+2014) takes its words in order. So the parent's own pool, which numpy
+hashed from the shared words, is every child's pool up to the last word;
+fedad mixes in only the index, as a few uint32 array passes over all
 children.
 """
 
@@ -49,8 +51,11 @@ def spawned_pcg64_states(stream: np.random.Generator, first: int, count: int) ->
     children hands out children j, ..., j + n - 1. A PCG64 given a child's
     state draws what that child draws.
 
-    The seeds are derived when called; each state is formed as it is
-    handed out, so a caller that uses one at a time holds one. The
+    numpy has already hashed the words every child shares with `stream`
+    into the stream's seed pool; this mixes in only each child's index,
+    then runs SeedSequence.generate_state and PCG64's seeding on the
+    result. The seeds are derived when called; each state is formed as
+    it is handed out, so a caller that uses one at a time holds one. The
     stream's spawn counter is neither read nor advanced.
     """
     if not isinstance(stream.bit_generator, np.random.PCG64):
@@ -59,28 +64,21 @@ def spawned_pcg64_states(stream: np.random.Generator, first: int, count: int) ->
         raise ValueError(f"children {first}..{first + count - 1} are not all one-word indices")
     seed_seq = stream.bit_generator.seed_seq
     pool_size = seed_seq.pool_size
-    # A child's entropy words: the run entropy, padded to the pool size
-    # because a child's spawn key is never empty, then the parent's spawn
-    # key, then the child index, one word that here is an array over the
-    # children. Every word but the index is a plain int.
-    run = _words(seed_seq.entropy)
-    entropy = [*run, *[0] * (pool_size - len(run)), *_words(seed_seq.spawn_key),
-               np.arange(first, first + count, dtype=np.uint32)]
-
-    # SeedSequence.mix_entropy; the entropy always outruns the pool.
-    const, pool = _INIT_A, []
-    for word in entropy[:pool_size]:
-        word, const = _hashmix(word, const)
-        pool.append(word)
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for word in entropy[pool_size:]:
-        for dst in range(pool_size):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
+    # The words a child shares with its parent: the run entropy, zero-padded
+    # to the pool size (explicitly, as a child's spawn key is never empty;
+    # numpy's hash pads a keyless parent's short entropy the same way), then
+    # the parent's spawn key. SeedSequence.mix_entropy has hashed them into
+    # seed_seq.pool with pool_size hashmix calls per word, each advancing the
+    # hash constant by _MULT_A.
+    shared = max(_word_count(seed_seq.entropy), pool_size) + _word_count(seed_seq.spawn_key)
+    const = (_INIT_A * pow(_MULT_A, pool_size * shared, _MASK32 + 1)) & _MASK32
+    # The child index is the last word, which mix_entropy hashes into every
+    # pool word in turn; here it is an array over the children.
+    index = np.arange(first, first + count, dtype=np.uint32)
+    pool = []
+    for word in seed_seq.pool.tolist():
+        hashed, const = _hashmix(index, const)
+        pool.append(_mix(word, hashed))
 
     # SeedSequence.generate_state(4, np.uint64): eight words, cycling the pool.
     const, words = _INIT_B, []
@@ -105,22 +103,18 @@ def _pcg64_state(hi, lo, seq_hi, seq_lo) -> dict:
     }
 
 
-def _words(value) -> list[int]:
-    """numpy's little-endian uint32 words of SeedSequence entropy or a
-    spawn key: an integer gives its words (0 gives one), a sequence the
-    words of each element in turn."""
+def _word_count(value) -> int:
+    """How many uint32 words numpy makes of SeedSequence entropy or a spawn
+    key: an integer takes its little-endian words (0 takes one), a
+    sequence the words of each element in turn."""
     if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value := value >> 32:
-            words.append(value & _MASK32)
-        return words
-    return [word for item in value for word in _words(item)]
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(map(_word_count, value))
 
 
 def _hashmix(value, const: int):
-    """One `hashmix` of a word (int) or of words (uint32 array); returns
-    the hashed value and the advanced hash constant."""
+    """One `hashmix` of each word of a uint32 array; returns the hashed
+    words and the advanced hash constant."""
     value = value ^ const
     const = (const * _MULT_A) & _MASK32
     value = (value * const) & _MASK32

@@ -1,6 +1,7 @@
-"""Static experiment world: geometry, large-scale fading and pilot book.
-Each event's sparse device activity is drawn with its channels, in
-`channel.build_dataset`.
+"""Static experiment world: geometry, large-scale fading and pilot book,
+and `colocate`, which turns it into the colocated-array (cellular)
+variant. Each event's sparse device activity is drawn with its channels,
+in `channel.build_dataset`.
 
 All powers are linear and expressed relative to the per-sample noise
 power, i.e. ``noise_var = 1.0`` means the AWGN has unit variance per
@@ -18,7 +19,7 @@ d_m floored at PATHLOSS_FLOOR_M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,3 +133,27 @@ def build_scenario(config: ScenarioConfig) -> ScenarioArtifacts:
     beta = large_scale_fading(geometry)
     pilots = generate_pilots(config, substream(config.master_seed, "pilots"))
     return ScenarioArtifacts(config=config, geometry=geometry, beta=beta, pilots=pilots)
+
+
+def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
+    """Equivalent colocated (cellular) scenario: one AP at the square
+    center carrying all M*N antennas, large-scale gains recomputed from
+    center distances, pilots and devices unchanged."""
+    cfg = artifacts.config
+    center = 0.5 * cfg.area_side_km
+    colocated_cfg = replace(
+        cfg,
+        num_aps=1,
+        antennas_per_ap=cfg.num_aps * cfg.antennas_per_ap,
+        cluster_size=1,
+    )
+    geometry = Geometry(
+        ap_positions=np.array([[center, center]]),
+        device_positions=artifacts.geometry.device_positions,
+    )
+    return ScenarioArtifacts(
+        config=colocated_cfg,
+        geometry=geometry,
+        beta=large_scale_fading(geometry),
+        pilots=artifacts.pilots,
+    )

@@ -106,14 +106,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def forward(
-    params: SlpParams, features: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def forward(params: SlpParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores in (0, 1), shaped (B, K), for a (B, F) batch of feature
-    vectors, plus the cache `backward` reads: the hidden layer's output
-    `hidden` only. The ReLU runs in place on the pre-activation, whose
-    positive entries are exactly those of `hidden`, so no second (B, V)
-    buffer is kept."""
+    vectors, and the hidden layer's (B, V) output, which `backward` reads.
+    The ReLU runs in place on the pre-activation, whose positive entries
+    are exactly those of the hidden output, so no second (B, V) buffer is
+    kept."""
     if features.shape[1] != params.w1.shape[1]:
         raise ValueError(
             f"feature length {features.shape[1]} does not match "
@@ -124,7 +122,7 @@ def forward(
     hidden = np.maximum(z1, 0.0, out=z1)
     z2 = hidden @ params.w2.T
     z2 += params.b2
-    return _sigmoid(z2), {"hidden": hidden}
+    return _sigmoid(z2), hidden
 
 
 def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -139,14 +137,14 @@ def backward(params: SlpParams, features: np.ndarray, labels: np.ndarray) -> Slp
     """Exact gradients of the mean BCE over a (B, F) batch and its (B, K)
     labels, using the fused sigmoid-BCE delta (scores - labels) / (B * K),
     written into one fresh flat buffer."""
-    scores, cache = forward(params, features)
+    scores, hidden = forward(params, features)
     batch, k = scores.shape
     d2 = (scores - labels) / (batch * k)            # (B, K)
     grads = params.like(np.empty_like(params.flat))
-    np.matmul(d2.T, cache["hidden"], out=grads.w2)
+    np.matmul(d2.T, hidden, out=grads.w2)
     np.add.reduce(d2, axis=0, out=grads.b2)         # np.sum without its wrapper
     d1 = d2 @ params.w2                             # (B, V)
-    d1 *= cache["hidden"] > 0.0                     # the ReLU mask: z1 > 0
+    d1 *= hidden > 0.0                              # the ReLU mask: z1 > 0
     np.matmul(d1.T, features, out=grads.w1)
     np.add.reduce(d1, axis=0, out=grads.b1)
     return grads

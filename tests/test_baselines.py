@@ -26,7 +26,6 @@ from fedad.baselines import (
     SparseEstimate,
     _shrink_rows,
     amp,
-    colocate,
     default_lambda,
     default_step_size,
     detect,
@@ -38,7 +37,7 @@ from fedad.baselines import (
 from fedad.channel import build_dataset, received_from_features
 from fedad.cli import parse_config
 from fedad.rng import substream
-from fedad.scenario import ScenarioConfig, build_scenario
+from fedad.scenario import ScenarioConfig, build_scenario, colocate
 
 
 def make_problem(dictionary, observations, rho=1.0):

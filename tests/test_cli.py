@@ -244,14 +244,13 @@ class TestRunExperiment:
         from fedad.baselines import (
             MmvProblem,
             amp,
-            colocate,
             default_lambda,
             fista,
             ista,
         )
         from fedad.channel import build_dataset, received_from_features
         from fedad.rng import substream
-        from fedad.scenario import build_scenario
+        from fedad.scenario import build_scenario, colocate
 
         # A strong uplink, so that every solver finds some active rows.
         scenario = {**SMOKE["scenario"], "area_side_km": 0.5, "tx_power": 1e12,

@@ -13,7 +13,6 @@ from oracles import (
 )
 
 import fedad.federation as federation
-from fedad.baselines import colocate
 from fedad.channel import Dataset, build_dataset
 from fedad.federation import (
     FederationConfig,
@@ -28,7 +27,7 @@ from fedad.federation import (
     server_step,
 )
 from fedad.rng import substream
-from fedad.scenario import ScenarioConfig, build_scenario
+from fedad.scenario import ScenarioConfig, build_scenario, colocate
 from fedad.slp import SlpParams, adam_step, backward, forward, init_adam, init_params
 
 

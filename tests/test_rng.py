@@ -39,9 +39,13 @@ def test_matches_spawn(entropy, key_len, first, count):
     [
         lambda: np.random.default_rng([1, 2**33, 3, 4, 5, 6]),
         lambda: make_parent("2-words", 1, pool_size=8),
+        # Keyless parents whose entropy numpy's hash zero-pads to the pool.
+        lambda: make_parent("1-word", 0, pool_size=8),
+        lambda: make_parent("7-words", 0, pool_size=8),
         lambda: substream(42, "federation").spawn(4)[1],  # run_training's data stream
     ],
-    ids=["sequence-entropy", "pool-8", "data-stream"],
+    ids=["sequence-entropy", "pool-8", "pool-8-keyless-1-word", "pool-8-keyless-7-words",
+         "data-stream"],
 )
 def test_matches_spawn_on_other_parents(parent):
     parent = parent()
