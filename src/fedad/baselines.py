@@ -59,6 +59,11 @@ class SolverConfig:
     """Knobs shared by the iterative solvers.
 
     lam: row-group regularization weight (ISTA/FISTA).
+    max_iters: ISTA's and FISTA's iteration cap.
+    tol: every solver stops once the relative change of its trace drops
+        below tol (_settled): the objective for ISTA and FISTA, the
+        residual norm for AMP. At tol 0 each runs its full cap.
+    amp_iters: AMP's iteration cap.
     amp_alpha: AMP threshold multiplier.
 
     A None lam stands for the experiment's default, which resolve_solver
@@ -173,6 +178,13 @@ def resolve_solver(solver: SolverConfig, config: ScenarioConfig) -> SolverConfig
     return solver
 
 
+def _settled(previous: float, current: float, tol: float) -> bool:
+    """The solvers' stop rule: the relative change from `previous` to
+    `current`, the last two entries of a solver's trace, is below tol.
+    It never holds at tol 0."""
+    return abs(previous - current) / max(abs(previous), 1e-300) < tol
+
+
 def _check_divergence(trace: list[float], increases: int) -> int:
     """Count consecutive objective increases over a trace of at least two
     objectives; five in a row above the starting objective trace[0]
@@ -220,7 +232,7 @@ def _proximal_gradient(
     FISTA's trace never rises twice in a row.
 
     Stops at max_iters or when the relative objective change drops below
-    tol.
+    tol (_settled).
     """
     s = problem.dictionary
     s_h = s.conj().T
@@ -257,8 +269,7 @@ def _proximal_gradient(
             z, residual_z = x_new, residual_new
         x, residual = x_new, residual_new
         increases = _check_divergence(trace, increases)
-        rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
-        if rel < solver.tol:
+        if _settled(trace[-2], trace[-1], solver.tol):
             break
     return SparseEstimate(
         x_hat=x,
@@ -295,6 +306,11 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
     row norm of the residual, which reduces to the classic scalar rule
     for a single observation column. The trace records residual norms.
 
+    Stops at amp_iters, its cap, or when the residual norm settles: when
+    its relative change from the previous iteration drops below tol
+    (_settled), the first iteration comparing against ||Y||_F. At tol 0
+    it runs all amp_iters.
+
     The Onsager term's support size is the number of rows the shrink
     kept. Divergence is read off the residual norm: a non-finite entry
     of X reaches the residual through A X, as every column of A has unit
@@ -312,6 +328,7 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
     residual_norm = _frobenius(residual)
     trace = []
     for _ in range(solver.amp_iters):
+        previous_norm = residual_norm
         tau = alpha * np.sqrt(residual_norm ** 2 / ell)
         x_new = a_h @ residual
         x_new += x
@@ -322,11 +339,13 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
         if not np.isfinite(residual_norm):
             raise SolverDivergenceError("AMP produced non-finite values")
         trace.append(float(residual_norm))
+        if _settled(previous_norm, residual_norm, solver.tol):
+            break
     x_hat = x / np.sqrt(problem.rho)
     return SparseEstimate(
         x_hat=x_hat,
         activity_stat=_row_energies(x_hat),
-        iterations_used=solver.amp_iters,
+        iterations_used=len(trace),
         objective_trace=np.asarray(trace),
     )
 

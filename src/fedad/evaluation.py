@@ -137,6 +137,11 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
     per iteration on the centralized antenna stack, priced at `iters`:
     S^H R and S X for each, as FISTA forms its momentum point's residual
     from the residuals of its last two iterates.
+
+    All three solvers stop when their trace settles, so `iters` is the
+    caller's choice of count: a run prices each baseline at the most
+    iterations any of its events used (detect's count), and the
+    `fedad macs` table at the solver's cap, max_iters or AMP's amp_iters.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")

@@ -284,13 +284,18 @@ def shrink_form_reference(problem, y, solver, accelerate):
 
 def amp_reference(problem, y, solver):
     """AMP written out on its own, with norms from np.linalg.norm, the
-    adjoint formed every iteration and the residual norm taken twice."""
+    adjoint formed every iteration and the residual norm taken twice.
+
+    It stops once its residual norm settles: when the norm's relative
+    change from the last iteration's, or from ||Y||_F in the first, is
+    below tol; otherwise after amp_iters."""
     a = problem.dictionary / np.sqrt(problem.rho)
     ell = a.shape[0]
     alpha = solver.amp_alpha
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
     residual = y.copy()
     trace = []
+    previous = float(np.linalg.norm(y))
     for _ in range(solver.amp_iters):
         tau = alpha * np.sqrt(np.linalg.norm(residual) ** 2 / ell)
         x = _reference_row_soft_threshold(x + a.conj().T @ residual, tau)
@@ -299,11 +304,14 @@ def amp_reference(problem, y, solver):
         if not np.all(np.isfinite(residual)) or not np.all(np.isfinite(x)):
             raise SolverDivergenceError("AMP produced non-finite values")
         trace.append(float(np.linalg.norm(residual)))
+        if abs(previous - trace[-1]) / max(abs(previous), 1e-300) < solver.tol:
+            break
+        previous = trace[-1]
     x_hat = x / np.sqrt(problem.rho)
     return SparseEstimate(
         x_hat=x_hat,
         activity_stat=np.sum(np.abs(x_hat) ** 2, axis=1) / x_hat.shape[1],
-        iterations_used=solver.amp_iters,
+        iterations_used=len(trace),
         objective_trace=np.asarray(trace),
     )
 

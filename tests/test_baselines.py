@@ -79,6 +79,27 @@ def assert_fista_matches_stand_alone(est, ref):
     np.testing.assert_allclose(est.activity_stat, ref.activity_stat, rtol=FISTA_RTOL, atol=0)
 
 
+def stacked_observations(artifacts, events):
+    """The problem detect solves against for `artifacts`, and every event's
+    (L, M*N) observations with its APs' antennas stacked column-wise,
+    built apart from detect."""
+    cfg = artifacts.config
+    problem = MmvProblem(np.sqrt(cfg.tx_power) * artifacts.pilots, cfg.tx_power)
+    received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
+    return problem, [np.concatenate(list(event), axis=1) for event in received]
+
+
+def desk_instance(n_events, seed):
+    """The desk experiment's resolved solver settings, and the problem and
+    stacked observations of n_events desk events drawn from `seed`."""
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+    art = build_scenario(config.scenario)
+    events = build_dataset(
+        config.scenario, art.beta, art.pilots, n_events, substream(seed, "desk-events")
+    )
+    return (resolve_solver(config.solver, config.scenario), *stacked_observations(art, events))
+
+
 def use_step(monkeypatch, step):
     """Give every problem whose step is first read after this call the
     step `step`. The step is the problem's, not a setting, so a test picks
@@ -398,7 +419,8 @@ class TestAmpOracle:
     """AMP must reproduce its stand-alone reference loop bit for bit."""
 
     @pytest.mark.parametrize(
-        "alpha, iters, rho", [(1.5, 25, 1.0), (1.0, 60, 1.0), (1.5, 25, 4.0), (2.0, 5, 1e12)]
+        "alpha, iters, rho",
+        [(1.5, 25, 1.0), (1.0, 60, 1.0), (1.5, 25, 4.0), (2.0, 5, 1e12), (1.5, 200, 1.0)],
     )
     def test_bit_identical_to_reference(self, alpha, iters, rho):
         (unit, y), _ = sparse_instance()
@@ -407,10 +429,43 @@ class TestAmpOracle:
         solver = SolverConfig(amp_alpha=alpha, amp_iters=iters)
         est, ref = amp(prob, y, solver), amp_reference(prob, y, solver)
         assert np.any(est.activity_stat > 0)
-        assert est.iterations_used == ref.iterations_used == iters
+        assert est.iterations_used == ref.iterations_used == len(ref.objective_trace)
+        # At the default tol the 200-iteration solve settles short of its
+        # cap; the others run their whole budget.
+        assert (ref.iterations_used < iters) == (iters == 200)
         assert np.array_equal(est.x_hat, ref.x_hat)
         assert np.array_equal(est.objective_trace, ref.objective_trace)
         assert np.array_equal(est.activity_stat, ref.activity_stat)
+
+
+class TestAmpStop:
+    """AMP stops when its residual norm settles, and stopping is the only
+    thing the stop rule changes: a solve that stops early is the solve
+    capped at that iteration."""
+
+    def test_tol_zero_runs_the_cap_on_a_desk_event(self):
+        solver, problem, observations = desk_instance(20, 3)
+        y = next(
+            y for y in observations
+            if amp(problem, y, solver).iterations_used < solver.amp_iters
+        )
+        est = amp(problem, y, replace(solver, tol=0.0))
+        assert est.iterations_used == len(est.objective_trace) == solver.amp_iters
+
+    def test_an_early_stop_is_the_truncated_solve(self):
+        solver, problem, observations = desk_instance(20, 3)
+        stopped = 0
+        for y in observations:
+            est = amp(problem, y, solver)
+            if est.iterations_used == solver.amp_iters:
+                continue
+            stopped += 1
+            capped = amp(problem, y, replace(solver, tol=0.0, amp_iters=est.iterations_used))
+            assert capped.iterations_used == est.iterations_used
+            assert np.array_equal(est.x_hat, capped.x_hat)
+            assert np.array_equal(est.objective_trace, capped.objective_trace)
+            assert np.array_equal(est.activity_stat, capped.activity_stat)
+        assert stopped > 0
 
 
 class TestAmp:
@@ -650,13 +705,16 @@ class TestResolveSolver:
         art = build_scenario(self.CONFIG)
         ds = build_dataset(self.CONFIG, art.beta, art.pilots, 3, substream(0, "events"))
         stats, iters = detect("amp", SolverConfig(), art, ds)
+        solver = resolve_solver(SolverConfig(), self.CONFIG)
+        problem, observations = stacked_observations(art, ds)
+        expected = max(amp_reference(problem, y, solver).iterations_used for y in observations)
 
         def refuse(dictionary):
             raise RuntimeError("default_step_size called")
 
         monkeypatch.setattr(baselines, "default_step_size", refuse)
         again, again_iters = detect("amp", SolverConfig(), art, ds)
-        assert np.array_equal(again, stats) and again_iters == iters == 25
+        assert np.array_equal(again, stats) and again_iters == iters == expected
         with pytest.raises(RuntimeError, match="default_step_size"):
             detect("ista", SolverConfig(), art, ds)
 
@@ -680,9 +738,7 @@ class TestDetectAtDeskShapes:
         stats, iters = detect(detector, config.solver, art, events)
 
         solver = resolve_solver(config.solver, cfg)
-        problem = MmvProblem(np.sqrt(cfg.tx_power) * art.pilots, cfg.tx_power)
-        received = received_from_features(events.features, cfg.pilot_len, cfg.antennas_per_ap)
-        observations = [np.concatenate(list(event), axis=1) for event in received]
+        problem, observations = stacked_observations(art, events)
         refs = [reference(problem, y, solver) for y in observations]
         if detector == "fista":
             same_form = [
@@ -693,9 +749,9 @@ class TestDetectAtDeskShapes:
             refs = same_form
         assert np.array_equal(stats, np.stack([ref.activity_stat for ref in refs]))
         assert iters == max(ref.iterations_used for ref in refs)
-        if detector != "amp":
-            # Some events stop on tol, short of the budget.
-            assert min(ref.iterations_used for ref in refs) < solver.max_iters
+        # Some events stop on tol, short of the budget.
+        cap = solver.amp_iters if detector == "amp" else solver.max_iters
+        assert min(ref.iterations_used for ref in refs) < cap
 
 
 class TestDetectMemory:
