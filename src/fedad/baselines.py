@@ -12,6 +12,7 @@ Activity is then read off the recovered row energies.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,12 +95,18 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SparseEstimate:
     """Solver output: row-sparse estimate, per-device row-energy statistic,
-    iterations actually run, and the per-iteration objective/residual trace."""
+    and the trace, the one record of the solve. The trace opens with the
+    value at X = 0, the objective F(0) for ISTA and FISTA and the residual
+    norm ||Y||_F for AMP, and gains one entry per iteration run."""
 
     x_hat: np.ndarray
     activity_stat: np.ndarray
-    iterations_used: int
     objective_trace: np.ndarray
+
+    @property
+    def iterations_used(self) -> int:
+        """Iterations actually run: the trace's entries after the X = 0 one."""
+        return len(self.objective_trace) - 1
 
 
 def default_lambda(config: ScenarioConfig) -> float:
@@ -178,27 +185,28 @@ def resolve_solver(solver: SolverConfig, config: ScenarioConfig) -> SolverConfig
     return solver
 
 
-def _settled(previous: float, current: float, tol: float) -> bool:
-    """The solvers' stop rule: the relative change from `previous` to
-    `current`, the last two entries of a solver's trace, is below tol.
-    It never holds at tol 0."""
+def _settled(trace: list[float], tol: float) -> bool:
+    """The solvers' stop rule: the relative change between the last two
+    entries of a trace of at least two is below tol. It never holds at
+    tol 0."""
+    previous, current = trace[-2], trace[-1]
     return abs(previous - current) / max(abs(previous), 1e-300) < tol
 
 
-def _check_divergence(trace: list[float], increases: int) -> int:
-    """Count consecutive objective increases over a trace of at least two
-    objectives; five in a row above the starting objective trace[0]
-    signals a bad step size."""
-    if trace[-1] > trace[-2] * (1.0 + 1e-12) + 1e-300:
-        increases += 1
-    else:
-        increases = 0
-    if increases >= 5 and trace[-1] > trace[0]:
+def _check_divergence(trace: list[float]) -> None:
+    """Raise when an objective trace's last five steps all rose and its
+    last entry is above its first, the X = 0 objective: the step size is
+    too large for the instance. Checked after every iteration, this fires
+    on the fifth rise in a row that ends above trace[0]. A trace that
+    ends at or below trace[0], the usual case, costs one comparison."""
+    if trace[-1] > trace[0] and len(trace) > 5 and all(
+        later > earlier * (1.0 + 1e-12) + 1e-300
+        for earlier, later in zip(trace[-6:-1], trace[-5:])
+    ):
         raise SolverDivergenceError(
             "objective increased for 5 consecutive iterations; "
             "step size is too large for this instance"
         )
-    return increases
 
 
 def _proximal_gradient(
@@ -211,25 +219,25 @@ def _proximal_gradient(
 
     with lam as resolve_solver sets it.
 
-    Without acceleration Z is the last iterate, whose residual the
-    objective already computed. With it, Z follows the Nesterov momentum
-    sequence t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 (FISTA):
-    Z = X_new + c (X_new - X) with c = (t_j - 1) / t_{j+1}. Its residual
-    is then R_new + c (R_new - R), formed from the residuals of X_new and
-    X, so an iteration runs two dictionary products either way. Both
-    residuals are computed afresh from their iterates, so no rounding
-    accumulates across iterations.
+    Z follows the Nesterov momentum sequence
+    t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2: Z = X_new + c (X_new - X) with
+    c = (t_j - 1) / t_{j+1}. Its residual is then R_new + c (R_new - R),
+    formed from the residuals of X_new and X, so an iteration runs two
+    dictionary products. Both residuals are computed afresh from their
+    iterates, so no rounding accumulates across iterations. Where c is
+    0, Z is X_new and its residual the one the objective computed.
 
-    FISTA restarts its momentum when its objective rises: if X_new's
-    objective is above X's, t_j is reset to 1, so c = 0 and Z = X_new.
-    That is the function scheme of O'Donoghue & Candes, "Adaptive restart
-    for accelerated gradient schemes" (FoCM 2015). Their gradient scheme
-    stops a few iterations sooner, but it costs a K x C subtraction and a
-    complex dot every iteration, which slows solves that run a fixed
-    budget; the function scheme reads the objective the loop computes
-    anyway, so it adds no arithmetic. The step after a restart is a
-    plain proximal-gradient step, which does not raise the objective, so
-    FISTA's trace never rises twice in a row.
+    The momentum restarts, t_j reset to 1 so that c = 0 and Z = X_new,
+    whenever X_new's objective is above X's: the function scheme of
+    O'Donoghue & Candes, "Adaptive restart for accelerated gradient
+    schemes" (FoCM 2015). Their gradient scheme stops a few iterations
+    sooner, but it costs a K x C subtraction and a complex dot every
+    iteration, which slows solves that run a fixed budget; the function
+    scheme reads the objective the loop computes anyway, so it adds no
+    arithmetic. The step after a restart is a plain proximal-gradient
+    step, which does not raise the objective, so FISTA's trace never
+    rises twice in a row. Without acceleration the momentum restarts at
+    every iteration: c is exactly 0 throughout, and the loop is ISTA.
 
     Stops at max_iters or when the relative objective change drops below
     tol (_settled).
@@ -243,7 +251,6 @@ def _proximal_gradient(
     residual = residual_z = y.copy()
     trace = [lasso_objective(residual, 0.0, lam)]
     t = 1.0
-    increases = 0
     for _ in range(solver.max_iters):
         # The gradient step Z + mu * S^H (Y - S Z), formed and shrunk in place.
         x_new = s_h @ residual_z
@@ -253,14 +260,11 @@ def _proximal_gradient(
         residual_new = y - s @ x_new
         # The penalty reads x_new's row norms off the shrink: norms * scale.
         trace.append(lasso_objective(residual_new, norms @ scale, lam))
-        if accelerate:
-            if trace[-1] > trace[-2]:
-                t = 1.0
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            c = (t - 1.0) / t_new
-            t = t_new
-        else:
-            c = 0.0
+        if not accelerate or trace[-1] > trace[-2]:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        c = (t - 1.0) / t_new
+        t = t_new
         # c is 0 in ISTA, and in FISTA's first iteration and after a restart.
         if c:
             z = x_new + c * (x_new - x)
@@ -268,13 +272,12 @@ def _proximal_gradient(
         else:
             z, residual_z = x_new, residual_new
         x, residual = x_new, residual_new
-        increases = _check_divergence(trace, increases)
-        if _settled(trace[-2], trace[-1], solver.tol):
+        _check_divergence(trace)
+        if _settled(trace, solver.tol):
             break
     return SparseEstimate(
         x_hat=x,
         activity_stat=_row_energies(x),
-        iterations_used=len(trace) - 1,  # the trace opens with X = 0's objective
         objective_trace=np.asarray(trace),
     )
 
@@ -304,11 +307,12 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
     normalization); the returned x_hat is on the original problem scale.
     The per-iteration threshold is alpha * sqrt(||R||_F^2 / L), the rms
     row norm of the residual, which reduces to the classic scalar rule
-    for a single observation column. The trace records residual norms.
+    for a single observation column. The trace records residual norms,
+    opening with ||Y||_F, the residual at X = 0.
 
     Stops at amp_iters, its cap, or when the residual norm settles: when
-    its relative change from the previous iteration drops below tol
-    (_settled), the first iteration comparing against ||Y||_F. At tol 0
+    the relative change of the trace's last two entries drops below tol
+    (_settled), so the first iteration compares against ||Y||_F. At tol 0
     it runs all amp_iters.
 
     The Onsager term's support size is the number of rows the shrink
@@ -325,43 +329,36 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
     a_h = a.conj().T
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
     residual = y.copy()
-    residual_norm = _frobenius(residual)
-    trace = []
+    trace = [float(_frobenius(residual))]
     for _ in range(solver.amp_iters):
-        previous_norm = residual_norm
-        tau = alpha * np.sqrt(residual_norm ** 2 / ell)
+        tau = alpha * np.sqrt(trace[-1] ** 2 / ell)
         x_new = a_h @ residual
         x_new += x
         support = int(np.count_nonzero(_shrink_rows(x_new, tau)[1]))
         x = x_new
         residual = y - a @ x + (support / ell) * residual
-        residual_norm = _frobenius(residual)
-        if not np.isfinite(residual_norm):
+        trace.append(float(_frobenius(residual)))
+        if not math.isfinite(trace[-1]):
             raise SolverDivergenceError("AMP produced non-finite values")
-        trace.append(float(residual_norm))
-        if _settled(previous_norm, residual_norm, solver.tol):
+        if _settled(trace, solver.tol):
             break
     x_hat = x / np.sqrt(problem.rho)
     return SparseEstimate(
         x_hat=x_hat,
         activity_stat=_row_energies(x_hat),
-        iterations_used=len(trace),
         objective_trace=np.asarray(trace),
     )
 
 
-# The baseline detectors: each is the solver of that name in this module,
-# mapped to the complex L x K by K x (M*N) products one iteration runs.
-# Each runs S^H R and S X per iteration, and no set-up product, as every
-# solve starts from R = Y; FISTA forms its momentum point's residual from
-# the residuals of its last two iterates.
-BASELINES = {"ista": 2, "fista": 2, "amp": 2}
+# The baseline detectors, each the solver of that name in this module.
+# evaluation.detector_macs prices their iterations.
+BASELINES = ("ista", "fista", "amp")
 
 
 def detect(
     detector: str, solver: SolverConfig, artifacts: ScenarioArtifacts, events: Dataset
 ) -> tuple[np.ndarray, int]:
-    """Score every event with the baseline named `detector` (a key of
+    """Score every event with the baseline named `detector` (one of
     BASELINES), under the experiment's resolved solver settings
     (resolve_solver).
 

@@ -132,11 +132,12 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
     conventions: (a complex MAC counted as 1, a complex MAC counted as 4
     real MACs).
 
-    FL is one real forward pass at every AP, the same under both. A
-    baseline runs BASELINES[detector] L x K by K x (M*N) complex products
-    per iteration on the centralized antenna stack, priced at `iters`:
-    S^H R and S X for each, as FISTA forms its momentum point's residual
-    from the residuals of its last two iterates.
+    FL is one real forward pass at every AP, the same under both. Each
+    baseline runs 2 L x K by K x (M*N) complex products per iteration on
+    the centralized antenna stack, S^H R and S X, priced at `iters`. No
+    solve runs a set-up product, as each starts from R = Y, and FISTA
+    forms its momentum point's residual from the residuals of its last
+    two iterates.
 
     All three solvers stop when their trace settles, so `iters` is the
     caller's choice of count: a run prices each baseline at the most
@@ -151,5 +152,5 @@ def detector_macs(detector: str, config: ScenarioConfig, iters: int) -> tuple[in
     if detector not in BASELINES:
         raise ValueError(f"no MAC model for detector {detector!r}")
     n_total = config.num_aps * config.antennas_per_ap
-    complex_macs = iters * BASELINES[detector] * config.pilot_len * config.num_devices * n_total
+    complex_macs = iters * 2 * config.pilot_len * config.num_devices * n_total
     return complex_macs, 4 * complex_macs

@@ -229,10 +229,11 @@ def run_training(
 ) -> tuple[SlpParams, TrainingHistory]:
     """Full federated run: R rounds of broadcast, local training at all M
     APs, shard-size weighted aggregation, and the server step. Per-AP
-    shards are the APs' own views of a single shared event set, generated
-    once (or fresh each round when regenerate_each_round is set: round
-    r's set is events r*n, ..., r*n + n - 1 of the data stream, n =
-    train_samples, as if each round spawned its n children in turn).
+    shards are the APs' own views of a single shared event set, drawn in
+    round 0 (and fresh each round when regenerate_each_round is set).
+    Round r's set is events r*n, ..., r*n + n - 1 of the data stream,
+    n = train_samples, as if each round spawned its n children in turn.
+    Round 0's time in the history includes its draw.
 
     Returns the global model and the per-round history.
     """
@@ -240,11 +241,9 @@ def run_training(
     init_stream, data_stream, heldout_stream, shuffle_root = stream.spawn(4)
 
     params = init_params(cfg, init_stream)
-    # Local training reads float32, so the training sets are stored so; the
-    # held-out set, which the float64 global model scores, stays float64.
-    train_data = build_dataset(
-        cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream, np.float32
-    )
+    # The held-out set stays float64, as the float64 global model scores it;
+    # the training sets, drawn in the loop, are float32, as local training
+    # reads them so.
     heldout_data = build_dataset(
         cfg, artifacts.beta, artifacts.pilots, fed.eval_samples, heldout_stream
     )
@@ -259,7 +258,7 @@ def run_training(
     history = TrainingHistory()
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
-        if fed.regenerate_each_round and rnd > 0:
+        if rnd == 0 or fed.regenerate_each_round:
             train_data = None  # free the last round's set before drawing the next
             train_data = build_dataset(
                 cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream,

@@ -160,11 +160,11 @@ def _reference_divergence(trace, increases, f0):
     return increases
 
 
-def _reference_estimate(x, iterations, trace):
+def _reference_estimate(x, trace):
+    # The count is read off the trace, which opens with the X = 0 objective.
     return SparseEstimate(
         x_hat=x,
         activity_stat=np.sum(np.abs(x) ** 2, axis=1) / x.shape[1],
-        iterations_used=iterations,
         objective_trace=np.asarray(trace),
     )
 
@@ -179,17 +179,15 @@ def ista_reference(problem, y, solver):
     x = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
     trace = [_reference_objective(problem, y, x, lam)]
     increases = 0
-    iterations = 0
     for _ in range(solver.max_iters):
         grad_step = x + mu * (s.conj().T @ (y - s @ x))
         x = _reference_row_soft_threshold(grad_step, mu * lam)
         trace.append(_reference_objective(problem, y, x, lam))
-        iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
         if rel < solver.tol:
             break
-    return _reference_estimate(x, iterations, trace)
+    return _reference_estimate(x, trace)
 
 
 def fista_reference(problem, y, solver):
@@ -209,7 +207,6 @@ def fista_reference(problem, y, solver):
     t = 1.0
     trace = [_reference_objective(problem, y, x, lam)]
     increases = 0
-    iterations = 0
     for _ in range(solver.max_iters):
         grad_step = z + mu * (s.conj().T @ (y - s @ z))
         x_new = _reference_row_soft_threshold(grad_step, mu * lam)
@@ -219,12 +216,11 @@ def fista_reference(problem, y, solver):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-        iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
         if rel < solver.tol:
             break
-    return _reference_estimate(x, iterations, trace)
+    return _reference_estimate(x, trace)
 
 
 def shrink_form_reference(problem, y, solver, accelerate):
@@ -252,7 +248,6 @@ def shrink_form_reference(problem, y, solver, accelerate):
     residual_z = residual
     trace = [0.5 * float(np.vdot(residual, residual).real) + lam * 0.0]
     increases = 0
-    iterations = 0
     for _ in range(solver.max_iters):
         grad_step = z + mu * (s.conj().T @ residual_z)
         x_new, norms, scale = _reference_shrink(grad_step, mu * lam)
@@ -274,28 +269,28 @@ def shrink_form_reference(problem, y, solver, accelerate):
             residual_z = residual_new + c * (residual_new - residual)
         x = x_new
         residual = residual_new
-        iterations += 1
         increases = _reference_divergence(trace, increases, trace[0])
         rel = abs(trace[-2] - trace[-1]) / max(abs(trace[-2]), 1e-300)
         if rel < solver.tol:
             break
-    return _reference_estimate(x, iterations, trace)
+    return _reference_estimate(x, trace)
 
 
 def amp_reference(problem, y, solver):
     """AMP written out on its own, with norms from np.linalg.norm, the
     adjoint formed every iteration and the residual norm taken twice.
 
-    It stops once its residual norm settles: when the norm's relative
-    change from the last iteration's, or from ||Y||_F in the first, is
-    below tol; otherwise after amp_iters."""
+    Its trace opens with ||Y||_F, the residual norm at X = 0. It stops
+    once its residual norm settles: when the norm's relative change from
+    the last iteration's, or from ||Y||_F in the first, is below tol;
+    otherwise after amp_iters."""
     a = problem.dictionary / np.sqrt(problem.rho)
     ell = a.shape[0]
     alpha = solver.amp_alpha
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
     residual = y.copy()
-    trace = []
     previous = float(np.linalg.norm(y))
+    trace = [previous]
     for _ in range(solver.amp_iters):
         tau = alpha * np.sqrt(np.linalg.norm(residual) ** 2 / ell)
         x = _reference_row_soft_threshold(x + a.conj().T @ residual, tau)
@@ -311,7 +306,6 @@ def amp_reference(problem, y, solver):
     return SparseEstimate(
         x_hat=x_hat,
         activity_stat=np.sum(np.abs(x_hat) ** 2, axis=1) / x_hat.shape[1],
-        iterations_used=len(trace),
         objective_trace=np.asarray(trace),
     )
 

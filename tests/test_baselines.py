@@ -429,7 +429,7 @@ class TestAmpOracle:
         solver = SolverConfig(amp_alpha=alpha, amp_iters=iters)
         est, ref = amp(prob, y, solver), amp_reference(prob, y, solver)
         assert np.any(est.activity_stat > 0)
-        assert est.iterations_used == ref.iterations_used == len(ref.objective_trace)
+        assert est.iterations_used == ref.iterations_used == len(ref.objective_trace) - 1
         # At the default tol the 200-iteration solve settles short of its
         # cap; the others run their whole budget.
         assert (ref.iterations_used < iters) == (iters == 200)
@@ -450,7 +450,7 @@ class TestAmpStop:
             if amp(problem, y, solver).iterations_used < solver.amp_iters
         )
         est = amp(problem, y, replace(solver, tol=0.0))
-        assert est.iterations_used == len(est.objective_trace) == solver.amp_iters
+        assert est.iterations_used == len(est.objective_trace) - 1 == solver.amp_iters
 
     def test_an_early_stop_is_the_truncated_solve(self):
         solver, problem, observations = desk_instance(20, 3)
@@ -516,6 +516,21 @@ class TestAmp:
             solve(*make_problem(a, y), SolverConfig())
 
 
+class TestTrace:
+    """A solve's trace is its one record: it opens with the value at X = 0,
+    and every later entry is one iteration run."""
+
+    @pytest.mark.parametrize("solver_fn", [ista, fista, amp], ids=["ista", "fista", "amp"])
+    def test_trace_opens_at_zero_and_counts_the_iterations(self, solver_fn):
+        (prob, y), lam = sparse_instance()
+        # tol 0 runs the whole cap.
+        solver = SolverConfig(lam=lam, max_iters=30, tol=0.0, amp_iters=30)
+        est = solver_fn(prob, y, solver)
+        at_zero = np.linalg.norm(y) if solver_fn is amp else lasso_objective(y, 0.0, lam)
+        assert est.objective_trace[0] == at_zero
+        assert est.iterations_used == len(est.objective_trace) - 1 == 30
+
+
 class TestStatisticSeparation:
     @pytest.mark.parametrize("solver_name", ["ista", "fista", "amp"])
     def test_active_stat_exceeds_inactive(self, solver_name):
@@ -539,7 +554,8 @@ class TestStatisticSeparation:
 class _RecordingSolver:
     """Stand-in for a baseline solver: records each (problem, observations,
     solver) call and answers call i with statistic i + 0.5 on every device
-    and i + 1 iterations, except that the first call reports the most."""
+    and a trace of i + 1 iterations, except that the first call's is the
+    longest, 50 iterations."""
 
     def __init__(self):
         self.calls = []
@@ -551,8 +567,7 @@ class _RecordingSolver:
         return SparseEstimate(
             x_hat=np.zeros((k, observations.shape[1]), dtype=complex),
             activity_stat=np.full(k, i + 0.5),
-            iterations_used=50 if i == 0 else i + 1,
-            objective_trace=np.zeros(1),
+            objective_trace=np.zeros(51 if i == 0 else i + 2),
         )
 
 

@@ -173,7 +173,7 @@ class TestMacOracle:
         complex_macs = iters * 2 * small_artifacts.pilots.size * n_total
         assert detector_macs(detector, cfg, iters) == (complex_macs, 4 * complex_macs)
 
-    @pytest.mark.parametrize("detector, products", list(baselines.BASELINES.items()))
+    @pytest.mark.parametrize("detector, products", [(d, 2) for d in baselines.BASELINES])
     def test_solver_macs_match_the_products_a_solve_runs(
         self, small_artifacts, detector, products
     ):

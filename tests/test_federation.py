@@ -356,8 +356,8 @@ class TestRunTraining:
         assert len(history.round_seconds) == 3
 
     def test_regeneration_redraws_the_training_set(self, small_artifacts, monkeypatch):
-        # With regenerate_each_round, round 0 trains on the set drawn
-        # before the loop and every later round on a fresh draw.
+        # The held-out set is drawn first. Round 0 draws the training set;
+        # with regenerate_each_round, every later round draws a fresh one.
         sizes = []
 
         def counting_build_dataset(*args):
@@ -369,12 +369,12 @@ class TestRunTraining:
             rounds=3, local_epochs=1, batch_size=4, train_samples=8, eval_samples=6
         )
         _, fixed = run_training(small_artifacts, fed, substream(3, "fed"))
-        assert sizes == [8, 6]
+        assert sizes == [6, 8]
         sizes.clear()
         fresh_fed = replace(fed, regenerate_each_round=True)
         _, fresh = run_training(small_artifacts, fresh_fed, substream(3, "fed"))
-        # rounds training draws plus the held-out set
-        assert sizes == [8, 6, 8, 8]
+        # the held-out set plus one training draw per round
+        assert sizes == [6, 8, 8, 8]
         assert fresh.heldout_bce[0] == fixed.heldout_bce[0]
         assert fresh.heldout_bce[1] != fixed.heldout_bce[1]
 
