@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import Dataset, received_from_features
-from .scenario import ScenarioArtifacts, ScenarioConfig
+from .scenario import ScenarioArtifacts, ScenarioConfig, at_least
 
 
 class SolverDivergenceError(RuntimeError):
@@ -40,11 +40,9 @@ class MmvProblem:
     rho: float
 
     def __post_init__(self) -> None:
-        # np.allclose(norms, target, atol=...) with its default rtol = 1e-5.
         target = np.sqrt(self.rho)
-        atol = 1e-9 * max(1.0, target)
-        deviation = np.abs(_row_norms(self.dictionary.T) - target)
-        if not np.all(deviation <= atol + 1e-5 * target):
+        norms = np.linalg.norm(self.dictionary, axis=0)
+        if not np.allclose(norms, target, atol=1e-9 * max(1.0, target)):
             raise ValueError("dictionary columns must have norm sqrt(rho)")
 
     @functools.cached_property
@@ -79,17 +77,11 @@ class SolverConfig:
     amp_alpha: float = 1.5
 
     def __post_init__(self) -> None:
-        # Messages name the JSON key, which for lam is "lambda".
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters: must be >= 1, got {self.max_iters}")
+        at_least(self, 1, "max_iters")
+        # The message names the JSON key, which for lam is "lambda".
         if self.lam is not None and self.lam < 0:
             raise ValueError(f"lambda: must be >= 0, got {self.lam}")
-        if self.tol < 0:
-            raise ValueError(f"tol: must be >= 0, got {self.tol}")
-        if self.amp_iters < 0:
-            raise ValueError(f"amp_iters: must be >= 0, got {self.amp_iters}")
-        if self.amp_alpha < 0:
-            raise ValueError(f"amp_alpha: must be >= 0, got {self.amp_alpha}")
+        at_least(self, 0, "tol", "amp_iters", "amp_alpha")
 
 
 @dataclass(frozen=True)

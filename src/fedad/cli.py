@@ -40,7 +40,7 @@ from .federation import (
     serialize_update,
 )
 from .rng import substream
-from .scenario import ScenarioConfig, build_scenario, colocate
+from .scenario import ScenarioConfig, at_least, build_scenario, colocate, colocated_config
 
 ALL_DETECTORS = ("fl", *BASELINES)
 ALL_EMIT = ("roc_csv", "summary_json", "history_csv", "checkpoints")
@@ -76,8 +76,7 @@ class ExperimentConfig:
             raise ValueError(f"detectors: each may appear once, got {list(self.detectors)}")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture: must be one of {ARCHITECTURES}")
-        if self.eval_trials < 1:
-            raise ValueError(f"eval_trials: must be >= 1, got {self.eval_trials}")
+        at_least(self, 1, "eval_trials")
         for e in self.emit:
             if e not in ALL_EMIT:
                 raise ValueError(f"emit: unknown output kind {e!r}")
@@ -267,7 +266,7 @@ def run_experiment(config: ExperimentConfig) -> ResultBundle:
                 runtime_s=runtime,
                 trials=trials,
             )
-    except (ValueError, FloatingPointError, RuntimeError) as exc:
+    except (ValueError, FloatingPointError, RuntimeError, MemoryError) as exc:
         raise RuntimeError(f"stage failed: {stage}: {exc}") from exc
     return ResultBundle(results=results, checkpoint=checkpoint, history=history)
 
@@ -336,7 +335,7 @@ def emit_results(bundle: ResultBundle, config: ExperimentConfig) -> list[Path]:
 def _mac_table(config: ExperimentConfig) -> str:
     cfg = config.scenario
     if config.architecture == "colocated":
-        cfg = colocate(build_scenario(cfg)).config
+        cfg = colocated_config(cfg)
     per_ap = str(slp_macs_per_ap(cfg))
     fl_network, _ = detector_macs("fl", cfg, 0)
     rows = [

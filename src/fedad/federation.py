@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import Dataset, build_dataset
-from .scenario import ScenarioArtifacts
+from .scenario import ScenarioArtifacts, above, at_least
 from .slp import AdamState, SlpParams, adam_step, backward, bce_loss, forward, init_adam, init_params
 
 _MAGIC = b"ADUP"
@@ -55,14 +55,9 @@ class FederationConfig:
     regenerate_each_round: bool = False
 
     def __post_init__(self) -> None:
-        for key in ("rounds", "batch_size", "train_samples", "eval_samples"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key}: must be >= 1, got {getattr(self, key)}")
-        if self.local_epochs < 0:
-            raise ValueError(f"local_epochs: must be >= 0, got {self.local_epochs}")
-        for key in ("local_lr", "server_lr"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key}: must be > 0, got {getattr(self, key)}")
+        at_least(self, 1, "rounds", "batch_size", "train_samples", "eval_samples")
+        at_least(self, 0, "local_epochs")
+        above(self, 0, "local_lr", "server_lr")
         if self.server_mode not in ("plain-average", "server-adam"):
             raise ValueError(f"server_mode: unknown mode {self.server_mode!r}")
 
@@ -250,7 +245,6 @@ def run_training(
 
     m = cfg.num_aps
     total_weight = float(m * fed.train_samples)
-    shuffle_streams = shuffle_root.spawn(fed.rounds * m)
     server_state = None
     if fed.server_mode == "server-adam":
         server_state = init_adam(params, lr=fed.server_lr)
@@ -264,9 +258,11 @@ def run_training(
                 cfg, artifacts.beta, artifacts.pilots, fed.train_samples, data_stream,
                 np.float32, rnd * fed.train_samples,
             )
+        # spawn numbers on from the last round's children: AP ap of round r
+        # shuffles with child r*M + ap of shuffle_root.
         updates = (
-            local_train(params, *train_data.shard(ap), fed, ap, shuffle_streams[rnd * m + ap])
-            for ap in range(m)
+            local_train(params, *train_data.shard(ap), fed, ap, shuffle)
+            for ap, shuffle in enumerate(shuffle_root.spawn(m))
         )
         # The aggregate goes straight in: no name holds it while the next round trains.
         params, server_state = server_step(params, aggregate(updates, total_weight), server_state)

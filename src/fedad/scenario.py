@@ -1,7 +1,11 @@
 """Static experiment world: geometry, large-scale fading and pilot book,
 and `colocate`, which turns it into the colocated-array (cellular)
-variant. Each event's sparse device activity is drawn with its channels,
+variant; `colocated_config` gives that variant's shapes without drawing
+a world. Each event's sparse device activity is drawn with its channels,
 in `channel.build_dataset`.
+
+`at_least` and `above` check the numeric bounds of every config
+dataclass, so each bound error is worded once and names its key.
 
 All powers are linear and expressed relative to the per-sample noise
 power, i.e. ``noise_var = 1.0`` means the AWGN has unit variance per
@@ -30,6 +34,23 @@ PATHLOSS_EXPONENT = 36.7
 PATHLOSS_FLOOR_M = 10.0
 
 
+def at_least(config, bound: int, *keys: str) -> None:
+    """Raise ValueError, naming the key, for the first of `keys` whose
+    value on `config` is below `bound`."""
+    for key in keys:
+        value = getattr(config, key)
+        if value < bound:
+            raise ValueError(f"{key}: must be >= {bound}, got {value}")
+
+
+def above(config, bound: int, *keys: str) -> None:
+    """As `at_least`, for keys whose value must exceed `bound`."""
+    for key in keys:
+        value = getattr(config, key)
+        if value <= bound:
+            raise ValueError(f"{key}: must be > {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All scalar system parameters plus the master seed."""
@@ -47,17 +68,8 @@ class ScenarioConfig:
     master_seed: int = 1
 
     def __post_init__(self) -> None:
-        counts = {
-            "num_aps": self.num_aps,
-            "antennas_per_ap": self.antennas_per_ap,
-            "num_devices": self.num_devices,
-            "pilot_len": self.pilot_len,
-            "hidden_units": self.hidden_units,
-            "cluster_size": self.cluster_size,
-        }
-        for key, value in counts.items():
-            if value < 1:
-                raise ValueError(f"{key}: must be >= 1, got {value}")
+        at_least(self, 1, "num_aps", "antennas_per_ap", "num_devices", "pilot_len",
+                 "hidden_units", "cluster_size")
         if not 0.0 < self.activation_prob < 1.0:
             raise ValueError(
                 f"activation_prob: must lie in (0, 1), got {self.activation_prob}"
@@ -67,14 +79,10 @@ class ScenarioConfig:
                 f"cluster_size: must be <= num_aps "
                 f"({self.cluster_size} > {self.num_aps})"
             )
-        if self.tx_power <= 0:
-            raise ValueError(f"tx_power: must be > 0, got {self.tx_power}")
-        if self.noise_var < 0:
-            raise ValueError(f"noise_var: must be >= 0, got {self.noise_var}")
-        if self.area_side_km <= 0:
-            raise ValueError(f"area_side_km: must be > 0, got {self.area_side_km}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed: must be >= 0, got {self.master_seed}")
+        above(self, 0, "tx_power")
+        at_least(self, 0, "noise_var")
+        above(self, 0, "area_side_km")
+        at_least(self, 0, "master_seed")
 
     @property
     def feature_dim(self) -> int:
@@ -135,24 +143,28 @@ def build_scenario(config: ScenarioConfig) -> ScenarioArtifacts:
     return ScenarioArtifacts(config=config, geometry=geometry, beta=beta, pilots=pilots)
 
 
-def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
-    """Equivalent colocated (cellular) scenario: one AP at the square
-    center carrying all M*N antennas, large-scale gains recomputed from
-    center distances, pilots and devices unchanged."""
-    cfg = artifacts.config
-    center = 0.5 * cfg.area_side_km
-    colocated_cfg = replace(
-        cfg,
+def colocated_config(config: ScenarioConfig) -> ScenarioConfig:
+    """The colocated (cellular) layout's config: one AP carrying all M*N
+    antennas, so one cluster of one AP."""
+    return replace(
+        config,
         num_aps=1,
-        antennas_per_ap=cfg.num_aps * cfg.antennas_per_ap,
+        antennas_per_ap=config.num_aps * config.antennas_per_ap,
         cluster_size=1,
     )
+
+
+def colocate(artifacts: ScenarioArtifacts) -> ScenarioArtifacts:
+    """Equivalent colocated (cellular) scenario: one AP at the square
+    center carrying all M*N antennas (colocated_config), large-scale gains
+    recomputed from center distances, pilots and devices unchanged."""
+    center = 0.5 * artifacts.config.area_side_km
     geometry = Geometry(
         ap_positions=np.array([[center, center]]),
         device_positions=artifacts.geometry.device_positions,
     )
     return ScenarioArtifacts(
-        config=colocated_cfg,
+        config=colocated_config(artifacts.config),
         geometry=geometry,
         beta=large_scale_fading(geometry),
         pilots=artifacts.pilots,

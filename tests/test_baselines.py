@@ -37,7 +37,7 @@ from fedad.baselines import (
 from fedad.channel import build_dataset, received_from_features
 from fedad.cli import parse_config
 from fedad.rng import substream
-from fedad.scenario import ScenarioConfig, build_scenario, colocate
+from fedad.scenario import ScenarioConfig, build_scenario, colocate, colocated_config
 
 
 def make_problem(dictionary, observations, rho=1.0):
@@ -792,6 +792,8 @@ class TestColocate:
         assert art.config.num_aps == 1
         assert art.config.antennas_per_ap == 40
         assert art.config.cluster_size == 1
+        # `fedad macs` reads the same shapes without drawing a world.
+        assert colocated_config(cfg) == art.config
 
     def test_single_beta_per_device(self):
         cfg = ScenarioConfig(num_aps=5, antennas_per_ap=3, num_devices=12, cluster_size=2)

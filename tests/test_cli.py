@@ -282,6 +282,34 @@ class TestRunExperiment:
             assert np.array_equal(results[name].trials.scores, np.concatenate(expected))
 
 
+# Every numeric bound a config section checks, with a value that breaks it.
+BOUND_ERRORS = [
+    ("scenario", "num_aps", 0, "must be >= 1, got 0"),
+    ("scenario", "antennas_per_ap", 0, "must be >= 1, got 0"),
+    ("scenario", "num_devices", -2, "must be >= 1, got -2"),
+    ("scenario", "pilot_len", 0, "must be >= 1, got 0"),
+    ("scenario", "hidden_units", 0, "must be >= 1, got 0"),
+    ("scenario", "cluster_size", 0, "must be >= 1, got 0"),
+    ("scenario", "tx_power", 0, "must be > 0, got 0"),
+    ("scenario", "noise_var", -0.5, "must be >= 0, got -0.5"),
+    ("scenario", "area_side_km", 0.0, "must be > 0, got 0.0"),
+    ("scenario", "master_seed", -1, "must be >= 0, got -1"),
+    ("federation", "rounds", 0, "must be >= 1, got 0"),
+    ("federation", "batch_size", 0, "must be >= 1, got 0"),
+    ("federation", "train_samples", 0, "must be >= 1, got 0"),
+    ("federation", "eval_samples", -1, "must be >= 1, got -1"),
+    ("federation", "local_epochs", -1, "must be >= 0, got -1"),
+    ("federation", "local_lr", 0, "must be > 0, got 0"),
+    ("federation", "server_lr", -0.5, "must be > 0, got -0.5"),
+    ("solver", "max_iters", 0, "must be >= 1, got 0"),
+    ("solver", "tol", -0.001, "must be >= 0, got -0.001"),
+    ("solver", "amp_iters", -1, "must be >= 0, got -1"),
+    ("solver", "amp_alpha", -0.5, "must be >= 0, got -0.5"),
+    ("solver", "lambda", -1, "must be >= 0, got -1"),
+    ("top level", "eval_trials", 0, "must be >= 1, got 0"),
+]
+
+
 class TestMainEntry:
     def _write(self, tmp_path, data):
         path = tmp_path / "config.json"
@@ -355,6 +383,21 @@ class TestMainEntry:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section, key, value, message",
+        BOUND_ERRORS,
+        ids=[f"{section}-{key}" for section, key, _, _ in BOUND_ERRORS],
+    )
+    def test_validate_bound_error_is_one_line_naming_the_key(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        # Every numeric bound is worded the same way: the section, the key,
+        # the bound, and the offending value as the config gave it.
+        data = {key: value} if section == "top level" else {section: {key: value}}
+        path = self._write(tmp_path, data)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {section}: {key}: {message}\n"
+
+    @pytest.mark.parametrize(
         "number",
         ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="401-digits")],
     )
@@ -412,6 +455,22 @@ class TestMainEntry:
         assert main(["run", "--config", str(path)]) == 3
         assert "stage failed: scenario generation: no geometry" in capsys.readouterr().err
 
+    def test_failed_allocation_names_the_stage(self, tmp_path, capsys, monkeypatch):
+        # Raised, not provoked: a real terabyte request can get the process
+        # killed on a host that overcommits memory.
+        def oversized(config, beta, pilots, n_samples, stream):
+            raise MemoryError("Unable to allocate 58.2 TiB")
+
+        monkeypatch.setattr("fedad.cli.build_dataset", oversized)
+        data = {**SMOKE, "detectors": ["ista"], "output_dir": str(tmp_path / "results")}
+        path = self._write(tmp_path, data)
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: stage failed: evaluation event generation: "
+            "Unable to allocate 58.2 TiB\n"
+        )
+        assert not (tmp_path / "results").exists()
+
     def test_non_finite_scores_fail_the_detector_stage(self, tmp_path, capsys, monkeypatch):
         def nan_scores(params, dataset, beta, cluster_size):
             return np.full(dataset.labels.shape, np.nan)
@@ -435,6 +494,16 @@ class TestMainEntry:
         assert main(["macs", "--config", str(desk), "--arch", "colocated"]) == 0
         rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
         expected = "348160"  # one AP with all 8 * 2 antennas: (2 * 20 * 16) * 512 + 512 * 40
+        assert rows["fl_per_ap"] == rows["fl_network"] == [expected, expected, "-"]
+
+    def test_macs_colocated_draws_no_world(self, tmp_path, capsys):
+        # The table's shapes come from the config alone: 10**20 APs would be
+        # refused by numpy before any draw, and the table is plain integers.
+        path = self._write(tmp_path, {"scenario": {"num_aps": 10**20, "cluster_size": 1}})
+        assert main(["macs", "--config", str(path), "--arch", "colocated"]) == 0
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        # One AP with all 10**20 * 2 antennas, at the default L = 40, K = 100, V = 512.
+        expected = str((2 * 40 * 2 * 10**20) * 512 + 512 * 100)
         assert rows["fl_per_ap"] == rows["fl_network"] == [expected, expected, "-"]
 
     @pytest.mark.parametrize("arch", ["cellfree", "colocated"])
