@@ -23,7 +23,7 @@ from .scenario import ScenarioArtifacts, ScenarioConfig, at_least
 
 class SolverDivergenceError(RuntimeError):
     """Raised when an iterative solve blows up (bad step size or an AMP
-    run outside its stability regime)."""
+    run outside its stability regime) or its trace is not finite."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,12 @@ class MmvProblem:
 
     dictionary: (L, K) complex, every column of norm sqrt(rho)
     rho:        common squared column norm (transmit power scale)
+
+    The constants the solvers derive from the dictionary, the ISTA/FISTA
+    step, the adjoint S^H and AMP's unit-column pair, are cached
+    properties: each is formed when first read and then held, so one
+    problem per detect call forms each once for all its events, and a
+    solver pays only for those it reads.
     """
 
     dictionary: np.ndarray
@@ -51,6 +57,18 @@ class MmvProblem:
         computed when first read, so AMP, which never reads it, never
         pays for it."""
         return default_step_size(self.dictionary)
+
+    @functools.cached_property
+    def adjoint(self) -> np.ndarray:
+        """S^H, which the ISTA/FISTA gradient step applies."""
+        return self.dictionary.conj().T
+
+    @functools.cached_property
+    def unit_dictionary(self) -> tuple[np.ndarray, np.ndarray]:
+        """AMP's dictionary rescaled to unit columns, A = S / sqrt(rho),
+        and its adjoint A^H, as a pair."""
+        a = self.dictionary / np.sqrt(self.rho)
+        return a, a.conj().T
 
 
 @dataclass(frozen=True)
@@ -124,14 +142,19 @@ def _shrink_rows(rows: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     row's factor is exactly 0. So norms * factor is each row's norm after
     the shrink, up to rounding, and exactly 0 for a dropped row.
 
+    For tau > 0 the divisor is max(||row||, tau), with no floor and no
+    mask: a kept row's divisor is its norm, and a dropped row's is tau
+    itself, so its quotient is exactly 1 and its factor exactly 0. The
+    smallest divisor is tau, so no quotient overflows. At tau = 0 the
+    factor is 1 for a nonzero row and 0 for a zero one.
+
     A kept row stays nonzero. Its norm reads 0 only if its squared entries
     underflow, which takes norms near 1e-154 or below."""
     norms = _row_norms(rows)
-    # Kept rows' norms exceed tau, so flooring the divisor at tau changes
-    # none of their quotients; it keeps those of dropped rows from
-    # overflowing.
-    divisor = np.maximum(norms, max(tau, 1e-300))
-    scale = np.where(norms > tau, 1.0 - tau / divisor, 0.0)
+    if tau > 0.0:
+        scale = 1.0 - tau / np.maximum(norms, tau)
+    else:
+        scale = (norms > 0.0) * 1.0
     rows *= scale[:, None]
     return norms, scale
 
@@ -153,10 +176,11 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
 
 
-def _frobenius(x: np.ndarray) -> np.float64:
-    """np.linalg.norm(x) of a complex array."""
+def _frobenius(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a complex array, as a Python float: math.sqrt
+    rounds as np.sqrt does, without a numpy scalar call."""
     flat = x.ravel(order="K")
-    return np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
 
 def _row_energies(x_hat: np.ndarray) -> np.ndarray:
@@ -186,11 +210,19 @@ def _settled(trace: list[float], tol: float) -> bool:
 
 
 def _check_divergence(trace: list[float]) -> None:
-    """Raise when an objective trace's last five steps all rose and its
-    last entry is above its first, the X = 0 objective: the step size is
-    too large for the instance. Checked after every iteration, this fires
-    on the fifth rise in a row that ends above trace[0]. A trace that
-    ends at or below trace[0], the usual case, costs one comparison."""
+    """Raise when an objective trace's last entry is not finite, or when
+    its last five steps all rose and its last entry is above its first,
+    the X = 0 objective: the step size is too large for the instance.
+
+    A non-finite or overflowing observation makes F(0) = 0.5 ||Y||_F^2
+    inf or NaN; no relative change of such a trace settles, so without
+    the first rule the solve would run to its cap and report all-zero
+    statistics. Checked after every iteration, this fires on the first
+    non-finite entry, and on the fifth rise in a row that ends above
+    trace[0]. A finite trace that ends at or below trace[0], the usual
+    case, costs two comparisons."""
+    if not math.isfinite(trace[-1]):
+        raise SolverDivergenceError("objective is not finite")
     if trace[-1] > trace[0] and len(trace) > 5 and all(
         later > earlier * (1.0 + 1e-12) + 1e-300
         for earlier, later in zip(trace[-6:-1], trace[-5:])
@@ -209,7 +241,8 @@ def _proximal_gradient(
 
         X <- rowprox(Z + mu * S^H (Y - S Z), mu * lam),  mu = problem.step_size,
 
-    with lam as resolve_solver sets it.
+    with lam as resolve_solver sets it. S^H is the problem's adjoint, so
+    it is formed once per problem, not once per solve.
 
     Z follows the Nesterov momentum sequence
     t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2: Z = X_new + c (X_new - X) with
@@ -235,7 +268,7 @@ def _proximal_gradient(
     tol (_settled).
     """
     s = problem.dictionary
-    s_h = s.conj().T
+    s_h = problem.adjoint
     y = observations
     lam, mu = solver.lam, problem.step_size
     x = z = np.zeros((s.shape[1], y.shape[1]), dtype=complex)
@@ -296,7 +329,8 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
     the Onsager residual correction.
 
     Internally the dictionary is rescaled to unit columns (AMP's natural
-    normalization); the returned x_hat is on the original problem scale.
+    normalization), the problem's unit_dictionary pair; the returned
+    x_hat is on the original problem scale.
     The per-iteration threshold is alpha * sqrt(||R||_F^2 / L), the rms
     row norm of the residual, which reduces to the classic scalar rule
     for a single observation column. The trace records residual norms,
@@ -314,22 +348,21 @@ def amp(problem: MmvProblem, observations: np.ndarray, solver: SolverConfig) -> 
     That includes a finite residual whose squared norm overflows, which
     takes entries above about 1e153.
     """
-    a = problem.dictionary / np.sqrt(problem.rho)
+    a, a_h = problem.unit_dictionary
     y = observations
     ell = a.shape[0]
     alpha = solver.amp_alpha
-    a_h = a.conj().T
     x = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
     residual = y.copy()
-    trace = [float(_frobenius(residual))]
+    trace = [_frobenius(residual)]
     for _ in range(solver.amp_iters):
-        tau = alpha * np.sqrt(trace[-1] ** 2 / ell)
+        tau = alpha * math.sqrt(trace[-1] ** 2 / ell)
         x_new = a_h @ residual
         x_new += x
         support = int(np.count_nonzero(_shrink_rows(x_new, tau)[1]))
         x = x_new
         residual = y - a @ x + (support / ell) * residual
-        trace.append(float(_frobenius(residual)))
+        trace.append(_frobenius(residual))
         if not math.isfinite(trace[-1]):
             raise SolverDivergenceError("AMP produced non-finite values")
         if _settled(trace, solver.tol):

@@ -391,6 +391,21 @@ class TestProximalGradientOracle:
                 fn(prob, y, solver)
 
     @pytest.mark.parametrize("solver_fn", [ista, fista], ids=["ista", "fista"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_one_non_finite_entry_raises(self, solver_fn, bad):
+        # One bad entry makes the X = 0 objective inf or NaN, and no
+        # relative change of it settles: the solve must raise, not run to
+        # its cap and report all-zero statistics. The inf case passes
+        # through inf - inf and inf * 0, which numpy reports as invalid
+        # values; those are expected here.
+        (prob, y), lam = sparse_instance()
+        y[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SolverDivergenceError, match="not finite"
+        ):
+            solver_fn(prob, y, SolverConfig(lam=lam, max_iters=50, tol=0.0))
+
+    @pytest.mark.parametrize("solver_fn", [ista, fista], ids=["ista", "fista"])
     @pytest.mark.parametrize("tol", [0.0, 1e-8], ids=["full_budget", "early_stop"])
     def test_one_row_norm_pass_and_one_objective_per_iteration(
         self, monkeypatch, solver_fn, tol
@@ -530,6 +545,16 @@ class TestTrace:
         assert est.objective_trace[0] == at_zero
         assert est.iterations_used == len(est.objective_trace) - 1 == 30
 
+    @pytest.mark.parametrize("solver_fn", [ista, fista, amp], ids=["ista", "fista", "amp"])
+    def test_observations_are_left_as_they_were(self, solver_fn):
+        # The solvers update their own buffers; the caller's observations
+        # come back bit for bit, through FISTA's momentum steps too.
+        (prob, y), lam = sparse_instance()
+        before = y.copy()
+        est = solver_fn(prob, y, SolverConfig(lam=lam, max_iters=30, tol=0.0, amp_iters=30))
+        assert est.iterations_used == 30
+        assert y.tobytes() == before.tobytes()
+
 
 class TestStatisticSeparation:
     @pytest.mark.parametrize("solver_name", ["ista", "fista", "amp"])
@@ -637,6 +662,44 @@ class TestBuildMmvProblem:
         detect(detector, SolverConfig(max_iters=5, amp_iters=5), art, ds)
         assert len(built) == 1
         assert np.array_equal(built[0].dictionary, 2.0 * art.pilots)
+
+    def test_dictionary_constants_are_formed_once(self):
+        # S^H and AMP's unit-column pair are cached: a second read hands
+        # back the object the first one formed.
+        a = unit_column_dictionary(np.random.default_rng(16), 5, 7)
+        prob = MmvProblem(2.0 * a, 4.0)
+        assert prob.adjoint is prob.adjoint
+        assert prob.unit_dictionary is prob.unit_dictionary
+        assert np.array_equal(prob.adjoint, prob.dictionary.conj().T)
+        unit, unit_h = prob.unit_dictionary
+        assert np.array_equal(unit, prob.dictionary / 2.0)
+        assert np.array_equal(unit_h, unit.conj().T)
+        assert np.allclose(np.linalg.norm(unit, axis=0), 1.0)
+
+    @pytest.mark.parametrize(
+        "detector, formed",
+        [("ista", {"adjoint", "step_size"}), ("fista", {"adjoint", "step_size"}),
+         ("amp", {"unit_dictionary"})],
+        ids=["ista", "fista", "amp"],
+    )
+    def test_detect_forms_what_its_solver_reads(self, monkeypatch, detector, formed):
+        # detect's one problem holds, once its events are solved, exactly
+        # the constants its solver read: ISTA and FISTA S^H and the step,
+        # AMP its unit-column pair and never the step's SVD.
+        art = build_scenario(self.CONFIG)
+        ds = build_dataset(self.CONFIG, art.beta, art.pilots, 3, substream(0, "events"))
+        built = []
+        check = MmvProblem.__post_init__
+
+        def recorded(problem):
+            built.append(problem)
+            check(problem)
+
+        monkeypatch.setattr(MmvProblem, "__post_init__", recorded)
+        detect(detector, SolverConfig(max_iters=5, amp_iters=5), art, ds)
+        (problem,) = built
+        cached = {"adjoint", "unit_dictionary", "step_size"}
+        assert cached & set(vars(problem)) == formed
 
     @pytest.mark.parametrize("solve", [ista, fista, amp], ids=["ista", "fista", "amp"])
     @pytest.mark.parametrize("rows", [4, 6])

@@ -482,6 +482,21 @@ class TestMainEntry:
         assert "stage failed: detector fl: scores are not all finite" in capsys.readouterr().err
         assert not (tmp_path / "results" / "summary.json").exists()
 
+    @pytest.mark.parametrize("detector", ["ista", "fista"])
+    def test_overflowing_objective_fails_the_solver_stage(self, tmp_path, capsys, detector):
+        # At noise_var 1e308 the objective at X = 0, 0.5 ||Y||_F^2, is inf,
+        # so no relative change of it can settle and every statistic
+        # would read 0: the run must fail, not report AUC 0.5.
+        data = json.loads(json.dumps(SMOKE))
+        data["scenario"]["noise_var"] = 1e308
+        data.update(detectors=[detector], output_dir=str(tmp_path / "results"))
+        path = self._write(tmp_path, data)
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"runtime error: stage failed: detector {detector}: objective is not finite\n"
+        )
+        assert not (tmp_path / "results" / "summary.json").exists()
+
     def test_macs_prints_per_ap_count(self, tmp_path, capsys):
         path = self._write(tmp_path, {})  # full-scale defaults
         assert main(["macs", "--config", str(path)]) == 0
